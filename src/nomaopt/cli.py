@@ -138,7 +138,6 @@ def cmd_solve(args) -> int:
     result = solve(
         s,
         args.epsilon,
-        dinkelbach_tol=args.tol,
         max_iterations=args.max_iterations,
         max_vertices=args.max_vertices,
         collect_trace=True,
@@ -242,8 +241,6 @@ def build_parser() -> _Parser:
                    help="optimality gap target in nats")
     p.add_argument("--out", required=True, help="result JSON output path")
     p.add_argument("--trace", help="optional per-iteration bounds CSV path")
-    p.add_argument("--tol", type=_positive_float, default=1e-8,
-                   help="projection stopping tolerance (default 1e-8)")
     p.add_argument("--max-iterations", type=_positive_int, default=MAX_ITERATIONS)
     p.add_argument("--max-vertices", type=_positive_int, default=MAX_VERTICES)
     p.set_defaults(func=cmd_solve)

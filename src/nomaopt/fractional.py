@@ -67,8 +67,9 @@ class MaximinLP:
     Canonical-form data (c, A, b) over variables [x_free..., t_shifted]
     where x_j = q_j / cap_j for coordinates with positive cap and
     t_shifted = t / noise - t_floor >= 0. Rows: one margin row per reduced
-    coordinate, one unit box row per free coordinate, one cell power row
-    per cell with free coordinates.
+    coordinate and one unit box row per free coordinate. No cell power
+    rows: Scenario validation keeps every cell's carrier caps within its
+    cell cap, so the box rows already imply the cell caps.
     """
 
     c: np.ndarray
@@ -129,17 +130,6 @@ def build_maximin_lp(r: ReducedProblem, lam: float, z) -> MaximinLP:
         row[c] = 1.0
         rows.append(row)
         rhs.append(1.0)
-    for k in range(K):
-        cols = [col_of[k * L + l] for l in range(L) if (k * L + l) in col_of]
-        if not cols:
-            continue
-        row = np.zeros(nf + 1)
-        for l in range(L):
-            j = k * L + l
-            if j in col_of:
-                row[col_of[j]] = caps[j] / r.cap_cell[k]
-        rows.append(row)
-        rhs.append(1.0)
 
     c_obj = np.zeros(nf + 1)
     c_obj[nf] = 1.0
@@ -185,6 +175,7 @@ class ProjectionResult:
     state: FractionalState
 
 
+_MARGIN_TOL = 1e-8
 _LAM_RTOL = 1e-9
 _LAM_STALL = 1e-12
 
@@ -192,7 +183,6 @@ _LAM_STALL = 1e-12
 def dinkelbach_project(
     r: ReducedProblem,
     sv: SinrVector,
-    tol: float = 1e-8,
     max_outer: int = 200,
 ) -> ProjectionResult:
     """Scale sv onto the boundary of the realizable set along its ray.
@@ -205,8 +195,8 @@ def dinkelbach_project(
 
     Stopping: the inner maximum margin t certifies the remaining scale
     gap, since the boundary scale exceeds the current one by at most
-    t / (noise * min z). The loop stops when t is at most tol in noise
-    units, when that certified gap is below 1e-9 relative, or when the
+    t / (noise * min z). The loop stops when t is at most _MARGIN_TOL in
+    noise units, when that certified gap is below 1e-9 relative, or when the
     scale stalls at machine precision. The plain ratio update converges
     only linearly when several ratios tie at the boundary, so when its
     increments decay geometrically the loop extrapolates past the limit
@@ -228,8 +218,7 @@ def dinkelbach_project(
         )
 
     # Interference-free per-coordinate ceiling bounds the boundary scale.
-    budget = np.minimum(r.cap_carrier, r.cap_cell[:, None])
-    ceil = 1.0 + r.gain_active * budget / N
+    ceil = 1.0 + r.gain_active * r.cap_carrier / N
     lam_cap = float(np.min(ceil.reshape(-1) / zc))
     min_z = float(np.min(zc))
 
@@ -280,7 +269,7 @@ def dinkelbach_project(
             recent.append(lam_lo)
 
         scale = max(1.0, lam_lo)
-        if t >= 0.0 and (t <= tol * N or t <= _LAM_RTOL * scale * N * min_z):
+        if t >= 0.0 and (t <= _MARGIN_TOL * N or t <= _LAM_RTOL * scale * N * min_z):
             done = True
         elif lam_hi is not None and lam_hi - lam_lo <= _LAM_RTOL * scale:
             done = True

@@ -491,7 +491,10 @@ class FeasibilityReport:
 
 def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
     """Check per-carrier caps, per-cell caps, the multiplexing limit and
-    SIC decodability of an allocation; returns all violations found."""
+    SIC decodability of an allocation; returns all violations found.
+
+    Power caps get a relative round-off slack of 1e-12 of the cap, the
+    same slack Scenario validation allows between caps."""
     if alloc.size != s.size:
         raise AllocationError(f"allocation length {alloc.size} does not match scenario size {s.size}")
     K, L = s.num_cells, s.num_subcarriers
@@ -509,7 +512,7 @@ def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
         for l in range(L):
             cap = s.subcarrier_cap[k, l]
             excess = carrier_power[k, l] - cap
-            if excess > 1e-12 * max(1.0, cap):
+            if excess > 1e-12 * cap:
                 violations.append(
                     Violation(
                         "subcarrier_power", k, l, float(excess),
@@ -524,7 +527,7 @@ def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
                     )
                 )
         excess = cell_power[k] - s.cell_cap[k]
-        if excess > 1e-12 * max(1.0, s.cell_cap[k]):
+        if excess > 1e-12 * s.cell_cap[k]:
             violations.append(
                 Violation(
                     "cell_power", k, None, float(excess),

@@ -39,7 +39,6 @@ from .reduction import (
     ReducedProblem,
     SinrVector,
     allocation_from_powers,
-    objective,
     reduce_scenario,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "SolveResult",
     "initial_vertex",
     "generate_children",
-    "prune",
     "solve",
     "write_trace_csv",
     "MAX_ITERATIONS",
@@ -118,77 +116,25 @@ def initial_vertex(r: ReducedProblem) -> SinrVector:
     """Box corner ignoring interference.
 
     Every realizable point is dominated by it: no coordinate can beat the
-    interference-free SINR of its own power budget. The budget per
-    coordinate is the smaller of its carrier cap and its cell cap, so a
-    zero-cap carrier starts (and stays) at 1.
+    interference-free SINR of its own carrier cap (Scenario validation
+    keeps the carrier caps within the cell cap), so a zero-cap carrier
+    starts (and stays) at 1.
     """
-    K, L = r.gain_active.shape
-    budget = np.minimum(r.cap_carrier, r.cap_cell[:, None])
-    vals = 1.0 + r.gain_active * budget / r.scenario.noise_power
+    vals = 1.0 + r.gain_active * r.cap_carrier / r.scenario.noise_power
     return r.vector(vals.reshape(-1))
 
 
-def generate_children(
-    z: SinrVector, z_proj: SinrVector, active_powers=None
-) -> list[SinrVector]:
-    """One child per (powered) active coordinate, that coordinate lowered.
+def generate_children(parent: np.ndarray, proj: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """One child per powered coordinate, that coordinate lowered.
 
-    Child i keeps the parent everywhere except coordinate i, which takes
-    the projection's value (floored at 1). With ``active_powers`` given,
-    coordinates without power are skipped; without it every active
-    coordinate produces a child.
+    Child i keeps the flat parent everywhere except coordinate i, which
+    takes the projection's value clamped to the parent. Rows come in
+    ascending coordinate order; coordinates without power get no child.
     """
-    if z.active != z_proj.active or z.z.shape != z_proj.z.shape:
-        raise ValueError("parent and projection must share the active set")
-    parent = z.active_z
-    proj = np.maximum(z_proj.active_z, 1.0)
-    if np.any(proj > parent * (1.0 + 1e-12) + 1e-12):
-        raise ValueError("projection must not exceed the parent componentwise")
-    proj = np.minimum(proj, parent)
-    if active_powers is not None:
-        active_powers = np.asarray(active_powers, dtype=float).reshape(-1)
-        if active_powers.shape[0] != parent.shape[0]:
-            raise ValueError("need one power per active coordinate")
-    size = z.z.shape[0]
-    children = []
-    for i in range(parent.shape[0]):
-        if active_powers is not None and active_powers[i] <= 0.0:
-            continue
-        vals = parent.copy()
-        vals[i] = proj[i]
-        full = np.zeros(size)
-        full[list(z.active)] = vals
-        children.append(SinrVector(z=full, active=z.active))
+    idx = np.flatnonzero(powers > 0.0)
+    children = np.tile(parent, (idx.size, 1))
+    children[np.arange(idx.size), idx] = np.minimum(proj[idx], parent[idx])
     return children
-
-
-def prune(vertices, f_star: float, epsilon: float) -> list[SinrVector]:
-    """Drop vertices dominated by another vertex or too low to help.
-
-    A vertex goes if some other vertex is componentwise >= and not equal
-    (its box is covered), or if its objective is at most f_star + epsilon
-    (it cannot improve the certificate).
-    """
-    vertices = list(vertices)
-    if not vertices:
-        return []
-    vals = [objective(v) for v in vertices]
-    keep = []
-    for i, v in enumerate(vertices):
-        if vals[i] <= f_star + epsilon:
-            continue
-        zi = v.active_z
-        covered = False
-        for j, u in enumerate(vertices):
-            if j == i or u.active != v.active:
-                continue
-            zj = u.active_z
-            if np.all(zj >= zi) and np.any(zj > zi):
-                covered = True
-                break
-        if not covered:
-            keep.append(v)
-    return keep
 
 
 class _VertexSet:
@@ -215,7 +161,8 @@ class _VertexSet:
         self.count = last
 
     def covers(self, zc: np.ndarray) -> bool:
-        """True when some stored vertex dominates zc (>= everywhere)."""
+        """True when some stored vertex dominates zc (>= everywhere, so an
+        equal vertex counts: it adds no new box)."""
         view = self._z[: self.count]
         return bool(np.any(np.all(view >= zc, axis=1)))
 
@@ -244,7 +191,6 @@ def solve(
     s: Scenario,
     epsilon: float,
     *,
-    dinkelbach_tol: float = 1e-8,
     max_iterations: int = MAX_ITERATIONS,
     max_vertices: int = MAX_VERTICES,
     collect_trace: bool = True,
@@ -289,7 +235,7 @@ def solve(
         parent = store.row(sel_idx)
         store.pop(sel_idx)
 
-        proj = dinkelbach_project(r, r.vector(parent), tol=dinkelbach_tol)
+        proj = dinkelbach_project(r, r.vector(parent))
         projections += 1
         proj_c = proj.z_proj.active_z
         f_proj = float(np.sum(np.log(proj_c)))
@@ -298,14 +244,9 @@ def solve(
             best_c = proj_c.copy()
             best_q = proj.powers.copy()
 
-        for i in range(n):
-            if proj.powers[i] <= 0.0:
-                continue
-            child = parent.copy()
-            child[i] = min(proj_c[i], parent[i])
-            if store.covers(child):
-                continue
-            store.add(child, float(np.sum(np.log(child))))
+        for child in generate_children(parent, proj_c, proj.powers):
+            if not store.covers(child):
+                store.add(child, float(np.sum(np.log(child))))
         store.prune_value(f_best + epsilon)
 
         if collect_trace:

@@ -110,8 +110,10 @@ class ReducedProblem:
     ``best_user[k, l]`` is the served (local) user of cell k on carrier l,
     ``active`` the canonical indices of those entries in scenario order,
     ``gain_active[k, l]`` the serving gain and ``gain_cross[k, l, j]`` the
-    gain from interfering BS j to that user (0 at j = k). Flat reduced
-    vectors are indexed by k * L + l.
+    gain from interfering BS j to that user (0 at j = k) and
+    ``cap_carrier[k, l]`` the power cap. Cell caps are left out: Scenario
+    validation keeps each cell's carrier caps within its cell cap, so they
+    never bind. Flat reduced vectors are indexed by k * L + l.
     """
 
     scenario: Scenario
@@ -120,7 +122,6 @@ class ReducedProblem:
     gain_active: np.ndarray
     gain_cross: np.ndarray
     cap_carrier: np.ndarray
-    cap_cell: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -182,7 +183,6 @@ def reduce_scenario(s: Scenario) -> ReducedProblem:
         gain_active=g_act,
         gain_cross=g_cross,
         cap_carrier=s.subcarrier_cap,
-        cap_cell=s.cell_cap,
     )
 
 
@@ -304,20 +304,17 @@ def membership(r: ReducedProblem, sv: SinrVector, tol: float = 1e-9) -> bool:
     """True when sv is realizable within the power caps.
 
     Realizable means p_from_z succeeds and the powers respect the
-    per-carrier and per-cell caps, with relative slack tol for round-off.
+    per-carrier caps, with relative slack tol for round-off. Scenario
+    validation keeps the carrier caps within each cell cap, so the cell
+    caps hold as well.
     """
     try:
         q = p_from_z(r, sv)
     except InconsistentSinrError:
         return False
     slack = tol * r.scenario.noise_power
-    K, L = r.gain_active.shape
-    qm = q.reshape(K, L)
-    if np.any(qm > r.cap_carrier * (1.0 + tol) + slack):
-        return False
-    if np.any(qm.sum(axis=1) > r.cap_cell * (1.0 + tol) + slack):
-        return False
-    return True
+    qm = q.reshape(r.gain_active.shape)
+    return not np.any(qm > r.cap_carrier * (1.0 + tol) + slack)
 
 
 def sum_rate_from_powers(r: ReducedProblem, q) -> float:

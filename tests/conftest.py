@@ -1,8 +1,16 @@
 """Shared scenario builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from nomaopt.model import Scenario
+
+# pyproject.toml puts src/ on this process's path; the CLI tests start
+# child interpreters, which need it on PYTHONPATH as well.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_scenario(

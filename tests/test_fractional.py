@@ -130,7 +130,7 @@ def test_lp_respects_caps():
         q, _ = solve_maximin_lp(build_maximin_lp(r, lam, z))
         qm = q.reshape(r.gain_active.shape)
         assert np.all(qm <= r.cap_carrier + 1e-12)
-        assert np.all(qm.sum(axis=1) <= r.cap_cell + 1e-9)
+        assert np.all(qm.sum(axis=1) <= s.cell_cap + 1e-9)
         assert np.all(q >= 0)
 
 

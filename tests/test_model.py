@@ -418,6 +418,18 @@ def test_check_feasible_reports_power_violations():
     assert sub.cell == 0 and sub.subcarrier == 0
 
 
+def test_check_feasible_cap_slack_is_relative():
+    # caps far below 1 W: an excess of 2e-6 of the cap (8e-13 W) is a
+    # violation, while round-off of 1e-13 of the cap is not
+    cap = 4e-7
+    s = make_scenario([[[1.0, 1.0]]], noise=1e-13, subcarrier_cap=cap)
+    over = check_feasible(s, Allocation(a=[1, 1], p=[cap * (1 + 2e-6), cap]))
+    assert [v.constraint for v in over.violations] == ["subcarrier_power", "cell_power"]
+    assert over.violations[0].cell == 0 and over.violations[0].subcarrier == 0
+    ok = check_feasible(s, Allocation(a=[1, 1], p=[cap * (1 + 1e-13), cap]))
+    assert ok.feasible, ok.violations
+
+
 def test_check_feasible_reports_multiplex_violation():
     s = make_scenario([[[1.0], [2.0]]], sic_limit=1)
     report = check_feasible(s, Allocation(a=[1, 1], p=[0.5, 0.5]))

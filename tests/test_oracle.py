@@ -64,7 +64,7 @@ def test_grid_reports_achievable_point():
     assert sum_rate_from_powers(r, ref.q) == pytest.approx(ref.value, rel=1e-12)
     qm = ref.q.reshape(r.gain_active.shape)
     assert np.all(qm <= r.cap_carrier + 1e-15)
-    assert np.all(qm.sum(axis=1) <= r.cap_cell * (1 + 1e-12))
+    assert np.all(qm.sum(axis=1) <= s.cell_cap * (1 + 1e-12))
     assert ref.evaluated <= 20**4
 
 

@@ -17,13 +17,13 @@ from nomaopt.oracle import grid_optimum
 from nomaopt.polyblock import (
     MAX_ITERATIONS,
     MAX_VERTICES,
+    _VertexSet,
     generate_children,
     initial_vertex,
-    prune,
     solve,
     write_trace_csv,
 )
-from nomaopt.reduction import SinrVector, objective, reduce_scenario
+from nomaopt.reduction import reduce_scenario
 
 from conftest import k1_scenario, make_scenario, random_scenario, sym2_scenario
 
@@ -62,36 +62,24 @@ def test_initial_vertex_dominates_every_member():
 # -- children ----------------------------------------------------------------
 
 
-def _vec(vals):
-    vals = list(vals)
-    return SinrVector(z=np.array(vals, dtype=float), active=tuple(range(len(vals))))
-
-
 def test_children_lower_one_coordinate_each():
-    kids = generate_children(_vec([3.0, 3.0]), _vec([2.0, 1.0]))
-    assert len(kids) == 2
-    assert np.array_equal(kids[0].active_z, [2.0, 3.0])
-    assert np.array_equal(kids[1].active_z, [3.0, 1.0])
+    kids = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+    assert np.array_equal(kids, [[2.0, 3.0], [3.0, 1.0]])
 
 
 def test_children_skip_unpowered_coordinates():
-    kids = generate_children(
-        _vec([3.0, 3.0]), _vec([2.0, 1.0]), active_powers=[0.5, 0.0]
-    )
-    assert len(kids) == 1
-    assert np.array_equal(kids[0].active_z, [2.0, 3.0])
+    kids = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.0]), np.array([0.5, 0.0]))
+    assert np.array_equal(kids, [[2.0, 3.0]])
+    none = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.0]), np.zeros(2))
+    assert none.shape == (0, 2)
 
 
-def test_children_validation():
-    with pytest.raises(ValueError, match="active"):
-        generate_children(
-            _vec([3.0, 3.0]),
-            SinrVector(z=np.array([3.0, 0.0]), active=(0,)),
-        )
-    with pytest.raises(ValueError, match="exceed"):
-        generate_children(_vec([2.0, 2.0]), _vec([3.0, 1.0]))
-    with pytest.raises(ValueError, match="power"):
-        generate_children(_vec([2.0, 2.0]), _vec([2.0, 1.0]), active_powers=[1.0])
+def test_children_are_clamped_to_the_parent():
+    # a projection a hair above the parent must not raise the child
+    parent = np.array([2.0, 3.0, 4.0])
+    proj = np.array([2.0 * (1 + 1e-13), 1.5, 4.5])
+    kids = generate_children(parent, proj, np.ones(3))
+    assert np.array_equal(kids, [[2.0, 3.0, 4.0], [2.0, 1.5, 4.0], [2.0, 3.0, 4.0]])
 
 
 def test_children_count_matches_powered_coordinates():
@@ -99,36 +87,66 @@ def test_children_count_matches_powered_coordinates():
     parent = 1.0 + rng.uniform(0.5, 3.0, size=6)
     proj = 1.0 + (parent - 1.0) * rng.uniform(0.0, 1.0, size=6)
     powers = rng.uniform(0.0, 1.0, size=6) * (rng.random(6) > 0.3)
-    kids = generate_children(_vec(parent), _vec(proj), active_powers=powers)
-    assert len(kids) == int(np.sum(powers > 0))
+    kids = generate_children(parent, proj, powers)
+    powered = np.flatnonzero(powers > 0)
+    assert kids.shape == (powered.size, 6)
+    for child, i in zip(kids, powered):
+        expected = parent.copy()
+        expected[i] = proj[i]
+        assert np.array_equal(child, expected)
 
 
 # -- pruning -----------------------------------------------------------------
+# solve() drops a child that a stored vertex covers, and after each
+# iteration every vertex whose objective cannot beat the incumbent by more
+# than epsilon.
+
+
+def _store(rows):
+    store = _VertexSet(len(rows[0]))
+    for row in rows:
+        z = np.array(row, dtype=float)
+        store.add(z, float(np.sum(np.log(z))))
+    return store
 
 
 def test_prune_drops_dominated_vertices():
-    kept = prune([_vec([2.0, 3.0]), _vec([2.0, 2.0])], f_star=0.0, epsilon=0.0)
-    assert len(kept) == 1
-    assert np.array_equal(kept[0].active_z, [2.0, 3.0])
+    store = _store([[2.0, 3.0]])
+    assert store.covers(np.array([2.0, 2.0]))
+    assert not store.covers(np.array([2.0, 3.0 + 1e-12]))
+    assert not _VertexSet(2).covers(np.array([1.0, 1.0]))
 
 
 def test_prune_keeps_incomparable_vertices():
-    kept = prune([_vec([2.0, 3.0]), _vec([3.0, 2.0])], f_star=0.0, epsilon=0.0)
-    assert len(kept) == 2
+    store = _store([[2.0, 3.0]])
+    assert not store.covers(np.array([3.0, 2.0]))
+
+
+def test_prune_equal_vertex_is_covered():
+    # an equal vertex adds no box, so it counts as covered
+    store = _store([[2.0, 3.0]])
+    assert store.covers(np.array([2.0, 3.0]))
 
 
 def test_prune_applies_value_threshold():
-    # objective of (2, 3) is log 6 ~ 1.79; threshold log 5 + 0.2 ~ 1.81
-    kept = prune([_vec([2.0, 3.0])], f_star=math.log(5.0), epsilon=0.2)
-    assert kept == []
-    kept = prune([_vec([2.0, 3.0])], f_star=math.log(5.0), epsilon=0.1)
-    assert len(kept) == 1
+    # objectives log 6 ~ 1.79, log 4 ~ 1.39, log 9 ~ 2.20
+    store = _store([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0]])
+    store.prune_value(math.log(4.0))
+    assert store.count == 2
+    assert {tuple(store.row(i)) for i in range(store.count)} == {(2.0, 3.0), (3.0, 3.0)}
+    store.prune_value(math.log(9.0))
+    assert store.count == 0
 
 
-def test_prune_equal_vertices_survive():
-    # equal copies do not dominate each other (>= but nowhere >)
-    kept = prune([_vec([2.0, 2.0]), _vec([2.0, 2.0])], f_star=0.0, epsilon=0.0)
-    assert len(kept) == 2
+def test_argmax_lex_breaks_ties_by_largest_coordinates():
+    # (2, 3) and (3, 2) tie on log 6; the lexicographically larger wins
+    store = _store([[2.0, 3.0], [3.0, 2.0], [1.0, 5.0]])
+    idx, best = store.argmax_lex()
+    assert np.array_equal(store.row(idx), [3.0, 2.0])
+    assert best == math.log(2.0) + math.log(3.0)
+    store.pop(idx)
+    idx, _ = store.argmax_lex()
+    assert np.array_equal(store.row(idx), [2.0, 3.0])
 
 
 # -- end-to-end solve ---------------------------------------------------------

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from nomaopt.model import Allocation, build_decoding_order, check_feasible, sum_rate
+from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
+from nomaopt.model import Allocation, ScenarioError, build_decoding_order, check_feasible, sum_rate
 from nomaopt.reduction import (
     InconsistentSinrError,
     ReducedProblem,
@@ -93,7 +94,6 @@ def test_reduction_collects_cross_gains():
     assert r.gain_cross[1, 0, 0] == 1.0
     assert r.gain_cross[0, 0, 0] == 0.0
     assert np.array_equal(r.cap_carrier, s.subcarrier_cap)
-    assert np.array_equal(r.cap_cell, s.cell_cap)
 
 
 def test_reduction_rejects_non_unit_weights():
@@ -226,6 +226,24 @@ def test_membership_with_tight_cell_cap():
     assert membership(r, full) is True
     over = r.vector(full.active_z * 1.001)
     assert membership(r, over) is False
+
+
+def test_full_carrier_power_never_breaks_a_cell_cap():
+    # the solver reads only carrier caps; this pins why that is enough,
+    # including carrier counts where the float sum of the caps and L * cap
+    # (the generated cell cap) differ in the last bit
+    sum_above = 0
+    for L in (3, 5, 6, 7):
+        for cap in (1e-7, 3e-7, 4e-7, 1e-6, 1e-5, 1e-4):
+            s = generate_scenario(RadioConfig(num_subcarriers=L, subcarrier_cap_w=cap))
+            sum_above += int(s.subcarrier_cap.sum(axis=1)[0] > s.cell_cap[0])
+            r = reduce_scenario(s)
+            report = check_feasible(s, allocation_from_powers(r, r.cap_carrier))
+            assert report.feasible, (L, cap, report.violations)
+            tight = s.subcarrier_cap.sum(axis=1).max() * (1.0 - 1e-11)
+            with pytest.raises(ScenarioError, match="cell cap"):
+                scenario_with_caps(s, cap, cell_cap_w=tight)
+    assert sum_above > 0
 
 
 # -- full-length allocations ------------------------------------------------
