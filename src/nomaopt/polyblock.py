@@ -1,14 +1,20 @@
 """Outer polyblock approximation loop with certified termination.
 
-The feasible shifted-SINR set is normal (downward closed), so it can be
-approximated from above by a union of boxes spanned by a vertex set. Each
-iteration selects the vertex with the best objective (the current global
-upper bound), projects it onto the feasible boundary along its ray (which
-yields a feasible incumbent candidate), and replaces it by one child per
-powered coordinate, shrinking the approximation. The loop ends when the
-upper bound is within epsilon of the best feasible value found, which
-certifies epsilon-optimality, or when a safety budget runs out, in which
-case the result carries the current bounds and certified=False.
+Interference couples only entries on the same sub-carrier, and Scenario
+validation keeps the carrier caps within the cell caps, so the reduced
+problem is one independent K-dimensional problem per carrier; carriers
+with identical data are solved once and counted once per carrier.
+
+Each carrier's feasible shifted-SINR set is normal (downward closed), so
+it can be approximated from above by a union of boxes spanned by a vertex
+set. Each iteration picks the carrier group with the widest weighted gap,
+selects its vertex with the best objective (the group's upper bound),
+projects it onto the feasible boundary along its ray (which yields a
+feasible incumbent candidate), and replaces it by one child per powered
+coordinate, shrinking the approximation. The loop ends when the summed
+upper bound is within epsilon of the summed incumbent, which certifies
+epsilon-optimality, or when a safety budget runs out, in which case the
+result carries the current bounds and certified=False.
 
 A child is generated only for coordinates that carry power at the
 projection. Coordinates without power sit at the boundary's zero-power
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -175,6 +181,9 @@ class _VertexSet:
         idx = max((int(i) for i in ties), key=lambda i: tuple(self._z[i]))
         return idx, best
 
+    def max_value(self) -> float:
+        return float(self._f[: self.count].max())
+
     def prune_value(self, threshold: float):
         mask = self._f[: self.count] > threshold
         kept = int(mask.sum())
@@ -187,6 +196,83 @@ class _VertexSet:
         return self._z[idx].copy()
 
 
+def _carrier_problem(s: Scenario, r: ReducedProblem, l: int) -> ReducedProblem:
+    """Reduced problem of carrier l alone, its carrier caps standing in for
+    the cell caps. With one carrier that is r itself."""
+    if s.num_subcarriers == 1:
+        return r
+    sub = replace(
+        s,
+        num_subcarriers=1,
+        gains=s.gains[:, :, l : l + 1],
+        subcarrier_cap=s.subcarrier_cap[:, l : l + 1],
+        cell_cap=s.subcarrier_cap[:, l],
+    )
+    return reduce_scenario(sub)
+
+
+def _carrier_groups(r: ReducedProblem) -> list[list[int]]:
+    """Carriers with bitwise equal reduced data, in order of first carrier."""
+    groups: dict[tuple, list[int]] = {}
+    for l in range(r.gain_active.shape[1]):
+        key = (
+            r.gain_active[:, l].tobytes(),
+            r.gain_cross[:, l, :].tobytes(),
+            r.cap_carrier[:, l].tobytes(),
+        )
+        groups.setdefault(key, []).append(l)
+    return list(groups.values())
+
+
+class _CarrierSearch:
+    """Polyblock state of one group of identical carriers.
+
+    ``lb`` is the best projection value found (realized by ``best_q``),
+    ``ub`` bounds the group's optimum: the largest stored vertex value, or
+    once the store is empty ``min(lb + tol, last selected value)``, since
+    every vertex dropped was worth at most ``lb + tol``. Stored vertices
+    are all worth more than ``lb + tol`` after each refinement, so
+    ``ub >= lb`` always.
+    """
+
+    def __init__(self, r: ReducedProblem, carriers: list[int], tol: float):
+        self.r = r
+        self.carriers = carriers
+        self.m = len(carriers)
+        self.tol = tol
+        z0 = initial_vertex(r).active_z
+        self.store = _VertexSet(r.dim)
+        self.store.add(z0, float(np.sum(np.log(z0))))
+        self.lb = 0.0
+        self.ub = self.store.max_value()
+        self.best_c = np.ones(r.dim)
+        self.best_q = np.zeros(r.dim)
+
+    def refine(self):
+        """Project the best vertex, keep it as incumbent if it improves and
+        replace the vertex by its children."""
+        sel_idx, sel_max = self.store.argmax_lex()
+        parent = self.store.row(sel_idx)
+        self.store.pop(sel_idx)
+
+        proj = dinkelbach_project(self.r, self.r.vector(parent))
+        proj_c = proj.z_proj.active_z
+        f_proj = float(np.sum(np.log(proj_c)))
+        if f_proj >= self.lb:
+            self.lb = f_proj
+            self.best_c = proj_c.copy()
+            self.best_q = proj.powers.copy()
+
+        for child in generate_children(parent, proj_c, proj.powers):
+            if not self.store.covers(child):
+                self.store.add(child, float(np.sum(np.log(child))))
+        self.store.prune_value(self.lb + self.tol)
+        if self.store.count:
+            self.ub = self.store.max_value()
+        else:
+            self.ub = max(min(self.lb + self.tol, sel_max), self.lb)
+
+
 def solve(
     s: Scenario,
     epsilon: float,
@@ -195,66 +281,52 @@ def solve(
     max_vertices: int = MAX_VERTICES,
     collect_trace: bool = True,
 ) -> SolveResult:
-    """Certified epsilon-optimal joint power and sub-carrier allocation."""
+    """Certified epsilon-optimal joint power and sub-carrier allocation.
+
+    Carriers with bitwise equal reduced data form one group, solved once
+    and counted m times. Each iteration refines the group with the largest
+    weighted gap m * (ub - lb) among those with vertices left (ties to the
+    lowest carrier); each group prunes at its incumbent plus epsilon / L,
+    and the loop stops when the summed gap is at most epsilon. Iteration
+    and vertex budgets are totals over groups.
+    """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be a positive finite number")
     t0 = time.perf_counter()
     r = reduce_scenario(s)
-    n = r.dim
+    K, L = r.gain_active.shape
+    groups = [
+        _CarrierSearch(_carrier_problem(s, r, carriers[0]), carriers, epsilon / L)
+        for carriers in _carrier_groups(r)
+    ]
 
-    store = _VertexSet(n)
-    z0 = initial_vertex(r)
-    store.add(z0.active_z, float(np.sum(np.log(z0.active_z))))
-
-    f_best = 0.0
-    best_c = np.ones(n)
-    best_q = np.zeros(n)
     iterations = 0
-    projections = 0
     trace: list[TraceRow] = []
-    last_sel_max = None
     status = "optimal"
     certified = True
-
     while True:
-        if store.count == 0:
-            upper = f_best + epsilon
-            if last_sel_max is not None:
-                upper = min(upper, last_sel_max)
+        gaps = [g.m * (g.ub - g.lb) for g in groups]
+        refinable = [i for i, g in enumerate(groups) if g.store.count]
+        if not refinable or sum(gaps) <= epsilon:
             break
-        sel_idx, sel_max = store.argmax_lex()
-        if sel_max - f_best <= epsilon:
-            upper = sel_max
-            break
-        if iterations >= max_iterations or store.count >= max_vertices:
+        if iterations >= max_iterations or sum(g.store.count for g in groups) >= max_vertices:
             status = "budget_exceeded"
             certified = False
-            upper = sel_max
             break
+        upper = sum(g.m * g.ub for g in groups)
         iterations += 1
-        parent = store.row(sel_idx)
-        store.pop(sel_idx)
-
-        proj = dinkelbach_project(r, r.vector(parent))
-        projections += 1
-        proj_c = proj.z_proj.active_z
-        f_proj = float(np.sum(np.log(proj_c)))
-        if f_proj >= f_best:
-            f_best = f_proj
-            best_c = proj_c.copy()
-            best_q = proj.powers.copy()
-
-        for child in generate_children(parent, proj_c, proj.powers):
-            if not store.covers(child):
-                store.add(child, float(np.sum(np.log(child))))
-        store.prune_value(f_best + epsilon)
-
+        groups[max(refinable, key=gaps.__getitem__)].refine()
         if collect_trace:
-            trace.append(TraceRow(iterations, sel_max, f_best))
-        last_sel_max = sel_max
+            trace.append(TraceRow(iterations, upper, sum(g.m * g.lb for g in groups)))
 
-    upper = max(upper, f_best)
-    alloc = allocation_from_powers(r, best_q)
+    f_best = sum(g.m * g.lb for g in groups)
+    upper = sum(g.m * g.ub for g in groups)
+    q = np.zeros((K, L))
+    zc = np.ones((K, L))
+    for g in groups:
+        q[:, g.carriers] = g.best_q[:, None]
+        zc[:, g.carriers] = g.best_c[:, None]
+    alloc = allocation_from_powers(r, q.reshape(-1))
     order = build_decoding_order(s)
     nats = sum_rate(s, order, alloc)
     if abs(nats - f_best) > 1e-6:
@@ -265,12 +337,12 @@ def solve(
     return SolveResult(
         algorithm="polyblock",
         allocation=alloc,
-        z=r.vector(best_c),
+        z=r.vector(zc.reshape(-1)),
         sum_rate_nats=nats,
         sum_rate_bits=nats / math.log(2.0),
         epsilon=float(epsilon),
         iterations=iterations,
-        projections=projections,
+        projections=iterations,
         wall_time_s=wall,
         upper_bound=float(upper),
         certified=certified,

@@ -507,6 +507,11 @@ def test_a7_trace_invariants_and_certificates(certified_runs, capsys):
         results.append(solve(s, epsilon=0.1))
     s = scenario_with_caps(generate_scenario(cfg, seed=[7, 0]), 1e-4)
     results.append(solve(s, epsilon=1e-4, max_iterations=3))
+    # distinct carriers: the trace sums bounds over carriers
+    multi = RadioConfig(num_cells=2, num_subcarriers=3, users_per_cell=2, fading=True)
+    s = generate_scenario(multi, seed=[7, 1])
+    results.append(solve(s, epsilon=0.05))
+    results.append(solve(s, epsilon=1e-4, max_iterations=3))
 
     problems = []
     rows_seen = 0

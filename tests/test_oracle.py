@@ -68,8 +68,8 @@ def test_grid_reports_achievable_point():
     assert ref.evaluated <= 20**4
 
 
-def test_grid_respects_cell_cap_filter():
-    # cell cap equal to one carrier cap: only points with q0 + q1 <= 2 count
+def test_grid_counts_every_box_point():
+    # carrier caps summing to the cell cap: all 3 x 3 points of the box count
     s = make_scenario([[[1.0, 1.0]]], subcarrier_cap=[[1.0, 1.0]], cell_cap=[2.0])
     ref = grid_optimum(s, grid_points_per_dim=3)
     assert ref.evaluated == 9  # full box satisfies the cell cap here
@@ -92,7 +92,7 @@ def test_full_power_single_cell():
     assert res.feasibility.feasible
 
 
-def test_full_power_scales_into_cell_cap():
+def test_full_power_hits_every_carrier_cap():
     # carrier caps sum to the cell cap exactly: no scaling needed, all caps hit
     s = make_scenario([[[1.0, 2.0]]], subcarrier_cap=[[2.0, 1.0]], cell_cap=[3.0])
     res = baseline_full_power(s)

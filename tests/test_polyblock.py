@@ -17,6 +17,7 @@ from nomaopt.oracle import grid_optimum
 from nomaopt.polyblock import (
     MAX_ITERATIONS,
     MAX_VERTICES,
+    _carrier_groups,
     _VertexSet,
     generate_children,
     initial_vertex,
@@ -179,18 +180,50 @@ def test_solve_symmetric_two_cell_hand_optimum():
 
 
 def test_solve_sandwiches_grid_oracle():
+    # the grid searches the joint power box, so the multi-carrier inputs
+    # check the per-carrier split against code that never splits
     rng = np.random.default_rng(71)
-    for _ in range(5):
-        s = random_scenario(rng, num_cells=2, num_subcarriers=1, users_per_cell=2)
+    cases = [(random_scenario(rng, num_cells=2, num_subcarriers=1, users_per_cell=2), 200) for _ in range(5)]
+    fading = RadioConfig(num_cells=2, num_subcarriers=2, users_per_cell=2, fading=True)
+    cases.append((generate_scenario(fading, seed=[71, 0]), 40))
+    cases.append((random_scenario(rng, num_cells=1, num_subcarriers=3), 100))
+    for s, points in cases:
         eps = 0.01
         res = solve(s, epsilon=eps)
-        ref = grid_optimum(s, grid_points_per_dim=200)
+        ref = grid_optimum(s, grid_points_per_dim=points)
         assert res.certified
         # the grid point is achievable, so it cannot beat the certificate
         assert ref.value <= res.upper_bound + 1e-9
         # and the incumbent is at most the true optimum, bounded via the grid
         assert res.sum_rate_nats <= ref.value + ref.error_bound + 1e-9
         assert abs(res.sum_rate_nats - ref.value) <= eps + ref.error_bound + 1e-9
+
+
+def test_solve_certifies_four_carrier_drop_within_budget():
+    # solved jointly over all 8 powers this drop ran out of 120 iterations
+    s = generate_scenario(RadioConfig(num_cells=2, num_subcarriers=4, users_per_cell=2), seed=[0, 0])
+    res = solve(s, epsilon=0.05, max_iterations=120)
+    assert res.status == "optimal"
+    assert res.certified
+    assert res.upper_bound - res.sum_rate_nats <= 0.05 + 1e-9
+    assert res.feasibility.feasible
+
+
+def test_solve_groups_identical_carriers():
+    # carriers 0 and 2 carry bitwise equal data, carrier 1 differs
+    g = np.zeros((2, 2, 3))
+    g[:, :, 0] = g[:, :, 2] = [[2.0, 1.0], [1.0, 2.0]]
+    g[:, :, 1] = [[3.0, 0.5], [0.8, 1.5]]
+    s = make_scenario(g, noise=1.0, subcarrier_cap=2.0)
+    assert _carrier_groups(reduce_scenario(s)) == [[0, 2], [1]]
+    res = solve(s, epsilon=1e-3)
+    assert res.certified
+    p = res.allocation.p.reshape(2, 3)  # one user per cell: (cell, carrier)
+    assert np.array_equal(p[:, 0], p[:, 2])
+    # each carrier solved alone to 1e-6 brackets its optimum tightly
+    alone = sum(solve(make_scenario(g[:, :, [l]], noise=1.0, subcarrier_cap=2.0), epsilon=1e-6).sum_rate_nats
+                for l in range(3))
+    assert res.sum_rate_nats - 3e-6 <= alone <= res.upper_bound + 1e-9
 
 
 def test_solve_zero_cap_carrier_terminates():
