@@ -181,7 +181,7 @@ def cmd_cdf(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    result = runtime_bench(cfg, args.epsilons, args.trials, threads=args.threads)
+    result = runtime_bench(cfg, args.epsilons, args.trials)
     write_bench_csv(result, _out_path(args.out))
     print(f"wrote bench: {args.out} ({len(result.rows)} rows, {args.trials} trials; "
           f"{_BASELINE_NOTE})")
@@ -267,7 +267,6 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--epsilons", type=_float_list, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True, help="bench CSV output path")
     p.set_defaults(func=cmd_bench)
 

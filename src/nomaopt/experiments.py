@@ -460,17 +460,16 @@ def _bench_trial(cfg: RadioConfig, epsilons, trial: int) -> list[BenchRecord]:
     return records
 
 
-def runtime_bench(cfg: RadioConfig, epsilons, trials: int, threads: int = 1) -> BenchResult:
-    """Wall time and iteration statistics per (epsilon, algorithm)."""
+def runtime_bench(cfg: RadioConfig, epsilons, trials: int) -> BenchResult:
+    """Wall time and iteration statistics per (epsilon, algorithm).
+
+    Trials run one after another: the solves are GIL-bound, so a thread
+    pool would only inflate the per-solve times this reports.
+    """
     epsilons = [float(e) for e in epsilons]
     if not epsilons or trials < 1:
         raise ValueError("need epsilons and at least one trial")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: _bench_trial(cfg, epsilons, t), range(trials)))
-    else:
-        per_trial = [_bench_trial(cfg, epsilons, t) for t in range(trials)]
-    records = tuple(rec for batch in per_trial for rec in batch)
+    records = tuple(rec for t in range(trials) for rec in _bench_trial(cfg, epsilons, t))
 
     rows = []
     for eps in epsilons:

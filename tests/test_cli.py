@@ -189,6 +189,14 @@ def test_bench_command(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 3
 
 
+def test_bench_has_no_threads_flag(tmp_path):
+    # bench times solves; a thread pool on GIL-bound work inflates them
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--epsilons", "0.5", "--trials", "1", "--threads", "2",
+              "--out", str(tmp_path / "bench.csv")])
+    assert info.value.code == EXIT_USAGE
+
+
 # -- oracle -------------------------------------------------------------------------
 
 

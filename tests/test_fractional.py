@@ -69,26 +69,33 @@ def test_compute_nd_input_checks():
 
 
 def test_lp_single_cell_unit_lambda():
-    # margin reduces to q itself: maximize over [0, 2]
+    # margin reduces to q / d_prev: maximize over [0, 2]
     r = reduce_scenario(k1_scenario(gain=1.0, noise=1.0, cap=2.0))
-    q, t = solve_maximin_lp(build_maximin_lp(r, lam=1.0, z=[1.0]))
+    q, t = solve_maximin_lp(build_maximin_lp(r, lam=1.0, z=[1.0], d_prev=[1.0]))
     assert q == pytest.approx([2.0], rel=1e-12)
     assert t == pytest.approx(2.0, rel=1e-12)
+    # the row is divided by lam * z * d_prev; the maximizer does not move
+    q, t = solve_maximin_lp(build_maximin_lp(r, lam=0.5, z=[1.0], d_prev=[4.0]))
+    assert q == pytest.approx([2.0], rel=1e-12)
+    assert t == pytest.approx((2.0 + 0.5 * 1.0) / (0.5 * 4.0), rel=1e-12)
 
 
 def test_lp_huge_lambda_is_negative():
     r = reduce_scenario(sym2_scenario())
-    q, t = solve_maximin_lp(build_maximin_lp(r, lam=1e6, z=[2.0, 2.0]))
+    q, t = solve_maximin_lp(build_maximin_lp(r, lam=1e6, z=[2.0, 2.0], d_prev=[1.0, 1.0]))
     assert t < 0
 
 
 def test_lp_never_below_silent_point():
-    # q = 0 is always feasible with margin N * min(1 - lam z)
+    # q = 0 is always feasible with margin min N (1 - lam z) / (lam z d_prev)
     r = reduce_scenario(sym2_scenario())
-    for lam in (0.3, 1.0, 4.0):
-        z = np.array([2.0, 1.5])
-        _, t = solve_maximin_lp(build_maximin_lp(r, lam=lam, z=z))
-        assert t >= r.scenario.noise_power * float(np.min(1.0 - lam * z)) - 1e-12
+    N = r.scenario.noise_power
+    z = np.array([2.0, 1.5])
+    for d_prev in ([1.0, 1.0], [1.0, 3.0], [2.5, 1.0]):
+        for lam in (0.3, 1.0, 4.0):
+            _, t = solve_maximin_lp(build_maximin_lp(r, lam=lam, z=z, d_prev=d_prev))
+            silent = float(np.min(N * (1.0 - lam * z) / (lam * z * np.array(d_prev))))
+            assert t >= silent - 1e-12
 
 
 def test_lp_matches_grid_search_two_cells():
@@ -99,22 +106,23 @@ def test_lp_matches_grid_search_two_cells():
     gains[1, 1, 0] = 3.0
     s = make_scenario(gains, noise=1.0, subcarrier_cap=[[2.0], [1.5]])
     r = reduce_scenario(s)
-    lam, z = 0.7, np.array([2.5, 1.8])
-    q_lp, t_lp = solve_maximin_lp(build_maximin_lp(r, lam, z))
+    lam, z, d_prev = 0.7, np.array([2.5, 1.8]), np.array([1.5, 2.2])
+    q_lp, t_lp = solve_maximin_lp(build_maximin_lp(r, lam, z, d_prev))
 
     pts = 200
     g0 = np.linspace(0.0, 2.0, pts)
     g1 = np.linspace(0.0, 1.5, pts)
     Q0, Q1 = np.meshgrid(g0, g1, indexing="ij")
-    # margins m_i = g_i q_i + (1 - lam z_i)(cross_i q_other + N)
+    # margins m_i = (g_i q_i + (1 - lam z_i)(cross_i q_other + N)) / (lam z_i d_prev_i)
     c0, c1 = 1.0 - lam * z[0], 1.0 - lam * z[1]
-    m0 = 2.0 * Q0 + c0 * (0.5 * Q1 + 1.0)
-    m1 = 3.0 * Q1 + c1 * (0.8 * Q0 + 1.0)
+    s0, s1 = 1.0 / (lam * z[0] * d_prev[0]), 1.0 / (lam * z[1] * d_prev[1])
+    m0 = (2.0 * Q0 + c0 * (0.5 * Q1 + 1.0)) * s0
+    m1 = (3.0 * Q1 + c1 * (0.8 * Q0 + 1.0)) * s1
     t_grid = np.minimum(m0, m1).max()
 
     # per-coordinate Lipschitz bound of the min of affine margins
-    lip0 = max(2.0, abs(c1) * 0.8)
-    lip1 = max(3.0, abs(c0) * 0.5)
+    lip0 = max(2.0 * s0, abs(c1) * 0.8 * s1)
+    lip1 = max(3.0 * s1, abs(c0) * 0.5 * s0)
     bound = lip0 * 2.0 / (pts - 1) + lip1 * 1.5 / (pts - 1)
     assert t_grid <= t_lp + 1e-9
     assert t_lp <= t_grid + bound
@@ -127,7 +135,8 @@ def test_lp_respects_caps():
         r = reduce_scenario(s)
         z = 1.0 + rng.uniform(0.0, 3.0, size=r.dim)
         lam = rng.uniform(0.2, 2.0)
-        q, _ = solve_maximin_lp(build_maximin_lp(r, lam, z))
+        _, d_prev, _ = compute_nd(r, rng.uniform(0.0, 1.0, size=r.dim) * r.cap_carrier.reshape(-1))
+        q, _ = solve_maximin_lp(build_maximin_lp(r, lam, z, d_prev))
         qm = q.reshape(r.gain_active.shape)
         assert np.all(qm <= r.cap_carrier + 1e-12)
         assert np.all(qm.sum(axis=1) <= s.cell_cap + 1e-9)
@@ -136,12 +145,16 @@ def test_lp_respects_caps():
 
 def test_lp_builder_input_checks():
     r = reduce_scenario(sym2_scenario())
+    d_prev = [1.0, 1.0]
     with pytest.raises(ValueError):
-        build_maximin_lp(r, lam=0.0, z=[2.0, 2.0])
+        build_maximin_lp(r, lam=0.0, z=[2.0, 2.0], d_prev=d_prev)
     with pytest.raises(ValueError):
-        build_maximin_lp(r, lam=1.0, z=[0.5, 2.0])
+        build_maximin_lp(r, lam=1.0, z=[0.5, 2.0], d_prev=d_prev)
     with pytest.raises(ValueError):
-        build_maximin_lp(r, lam=1.0, z=[2.0])
+        build_maximin_lp(r, lam=1.0, z=[2.0], d_prev=d_prev)
+    for bad in ([1.0], [1.0, 0.0], [1.0, -2.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            build_maximin_lp(r, lam=1.0, z=[2.0, 2.0], d_prev=bad)
 
 
 # -- ray projection ----------------------------------------------------------
@@ -243,3 +256,26 @@ def test_projection_budget_error_carries_lambdas():
     with pytest.raises(ProjectionError) as info:
         dinkelbach_project(r, r.vector([4.0, 4.0]), max_outer=1)
     assert len(info.value.lambdas) >= 1
+
+
+def _extreme_ray(seed):
+    """Gains over twelve decades, tiny noise, zero caps, rays up to 1e3."""
+    rng = np.random.default_rng(seed)
+    K, L = int(rng.integers(2, 8)), int(rng.integers(1, 3))
+    g = 10.0 ** rng.uniform(-16.0, -4.0, size=(K, 2 * K, L))
+    caps = rng.uniform(0.0, 1e-3) * (rng.uniform(size=(K, L)) > 0.2)
+    r = reduce_scenario(make_scenario(g, noise=1e-13, subcarrier_cap=caps))
+    z0 = 1.0 + 10.0 ** rng.uniform(-3.0, 3.0, size=r.dim) * (rng.uniform(size=r.dim) > 0.1)
+    return r, z0
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_projection_extreme_range_lands_on_boundary(seed):
+    r, z0 = _extreme_ray(seed)
+    res = dinkelbach_project(r, r.vector(z0))
+    assert membership(r, res.z_proj)
+    beyond = np.maximum(res.lam * (1.0 + 1e-6) * z0, 1.0)
+    if np.any(beyond > 1.0):
+        assert not membership(r, r.vector(beyond))
+    assert np.all(np.diff(res.lambdas) > 0)
+    assert np.all(res.powers <= r.cap_carrier.reshape(-1))
