@@ -179,6 +179,7 @@ def dinkelbach_project(
     r: ReducedProblem,
     sv: SinrVector,
     max_outer: int = 200,
+    start=None,
 ) -> ProjectionResult:
     """Scale sv onto the boundary of the realizable set along its ray.
 
@@ -188,20 +189,25 @@ def dinkelbach_project(
     output. Every candidate scale is taken from achieved power ratios, so
     the output is realizable by construction rather than by tolerance.
 
-    Normalized Dinkelbach iteration: from q = 0, each step maximizes the
-    worst margin (n_i - lam z_i d_i) / (lam z_i d_prev_i), with d_prev the
-    denominators at the current powers, and keeps the maximizer when its
-    scale min_i ratio_i / z_i exceeds lam. At the boundary powers every
-    such margin is at least (lam* - lam) / lam * noise / d_prev_i, so the
-    maximum margin t certifies lam* <= lam + lam * max(t, 0) *
-    max(d_prev) / noise. The loop stops once that certified gap is at most
-    1e-9 * max(1, lam), and raises ProjectionError when max_outer solves
-    do not get there.
+    Normalized Dinkelbach iteration: from q = start (q = 0 when start is
+    None), each step maximizes the worst margin (n_i - lam z_i d_i) /
+    (lam z_i d_prev_i), with d_prev the denominators at the current
+    powers, and keeps the maximizer when its scale min_i ratio_i / z_i
+    exceeds lam. At the boundary powers every such margin is at least
+    (lam* - lam) / lam * noise / d_prev_i, so the maximum margin t
+    certifies lam* <= lam + lam * max(t, 0) * max(d_prev) / noise. The
+    loop stops once that certified gap is at most 1e-9 * max(1, lam), and
+    raises ProjectionError when max_outer solves do not get there. Start
+    powers must lie within the carrier caps: then they are realizable, so
+    the first lam, min_i ratio_i / z_i at start, is at most the boundary
+    scale, and as the certificate holds for any d_prev, a start near the
+    boundary (say the projection of a vertex dominating sv) only saves
+    solves.
     """
     zc = r.active_values(sv)
     q = np.zeros(r.dim)
-    n, d, ratios = compute_nd(r, q)
     if np.all(zc <= 1.0 + 1e-15):
+        n, d, ratios = compute_nd(r, q)
         state = FractionalState(q=q, n=n, d=d, ratios=ratios, lam=1.0)
         return ProjectionResult(
             z_proj=r.vector(np.ones(r.dim)),
@@ -212,6 +218,11 @@ def dinkelbach_project(
             state=state,
         )
 
+    if start is not None:
+        q = np.asarray(start, dtype=float).reshape(-1)
+        if q.shape[0] != r.dim or not np.all((q >= 0.0) & (q <= r.cap_carrier.reshape(-1))):
+            raise ValueError("start powers must lie within the carrier caps")
+    n, d, ratios = compute_nd(r, q)
     N = r.scenario.noise_power
     state = FractionalState(q=q, n=n, d=d, ratios=ratios, lam=float(np.min(ratios / zc)))
     lambdas = [state.lam]

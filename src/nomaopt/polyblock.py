@@ -7,14 +7,17 @@ with identical data are solved once and counted once per carrier.
 
 Each carrier's feasible shifted-SINR set is normal (downward closed), so
 it can be approximated from above by a union of boxes spanned by a vertex
-set. Each iteration picks the carrier group with the widest weighted gap,
-selects its vertex with the best objective (the group's upper bound),
-projects it onto the feasible boundary along its ray (which yields a
-feasible incumbent candidate), and replaces it by one child per powered
-coordinate, shrinking the approximation. The loop ends when the summed
-upper bound is within epsilon of the summed incumbent, which certifies
-epsilon-optimality, or when a safety budget runs out, in which case the
-result carries the current bounds and certified=False.
+set. Each group's incumbent starts at its full-power point. Each
+iteration picks the carrier group with the widest weighted gap, selects
+its vertex with the best objective (the group's upper bound), projects it
+onto the feasible boundary along its ray (which yields a feasible
+incumbent candidate), and replaces it by one child per powered
+coordinate, shrinking the approximation; each child's projection starts
+from its parent's boundary powers. The loop ends when the summed upper
+bound is within epsilon of the summed incumbent, which certifies
+epsilon-optimality (with no projection at all when the full-power
+incumbents already are), or when a safety budget runs out, in which case
+the result carries the current bounds and certified=False.
 
 A child is generated only for coordinates that carry power at the
 projection. Coordinates without power sit at the boundary's zero-power
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import dinkelbach_project
+from .fractional import compute_nd, dinkelbach_project
 from .model import (
     Allocation,
     FeasibilityReport,
@@ -144,27 +147,40 @@ def generate_children(parent: np.ndarray, proj: np.ndarray, powers: np.ndarray) 
 
 
 class _VertexSet:
-    """Compact vertex store over active-coordinate values."""
+    """Compact vertex store over active-coordinate values.
+
+    Next to each vertex it keeps the powers of the projection that created
+    it, the warm start for that vertex's own projection, and it tracks the
+    largest value ``prune_value`` ever dropped.
+    """
 
     def __init__(self, n_coords: int):
         self._z = np.empty((256, n_coords))
         self._f = np.empty(256)
+        self._q = np.empty((256, n_coords))
         self.count = 0
+        self.dropped_max = -math.inf
 
-    def add(self, zc: np.ndarray, f: float):
+    def add(self, zc: np.ndarray, f: float, q: np.ndarray):
         if self.count == self._z.shape[0]:
             self._z = np.concatenate([self._z, np.empty_like(self._z)])
             self._f = np.concatenate([self._f, np.empty_like(self._f)])
+            self._q = np.concatenate([self._q, np.empty_like(self._q)])
         self._z[self.count] = zc
         self._f[self.count] = f
+        self._q[self.count] = q
         self.count += 1
 
-    def pop(self, idx: int):
+    def pop(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Remove vertex idx; returns its values and start powers."""
+        zc, q = self._z[idx].copy(), self._q[idx].copy()
         last = self.count - 1
         if idx != last:
             self._z[idx] = self._z[last]
             self._f[idx] = self._f[last]
+            self._q[idx] = self._q[last]
         self.count = last
+        return zc, q
 
     def covers(self, zc: np.ndarray) -> bool:
         """True when some stored vertex dominates zc (>= everywhere, so an
@@ -188,8 +204,10 @@ class _VertexSet:
         mask = self._f[: self.count] > threshold
         kept = int(mask.sum())
         if kept != self.count:
+            self.dropped_max = max(self.dropped_max, float(self._f[: self.count][~mask].max()))
             self._z[:kept] = self._z[: self.count][mask]
             self._f[:kept] = self._f[: self.count][mask]
+            self._q[:kept] = self._q[: self.count][mask]
             self.count = kept
 
     def row(self, idx: int) -> np.ndarray:
@@ -227,12 +245,14 @@ def _carrier_groups(r: ReducedProblem) -> list[list[int]]:
 class _CarrierSearch:
     """Polyblock state of one group of identical carriers.
 
-    ``lb`` is the best projection value found (realized by ``best_q``),
-    ``ub`` bounds the group's optimum: the largest stored vertex value, or
-    once the store is empty ``min(lb + tol, last selected value)``, since
-    every vertex dropped was worth at most ``lb + tol``. Stored vertices
-    are all worth more than ``lb + tol`` after each refinement, so
-    ``ub >= lb`` always.
+    ``lb`` is the best value found (realized by ``best_q``), starting from
+    the full-power point when that beats silence. ``ub`` bounds the
+    group's optimum: the largest stored vertex value, or once the store is
+    empty the larger of ``lb`` and the largest value pruned, since every
+    box left out either was pruned or holds nothing above its projection.
+    Stored vertices are all worth more than ``lb + tol`` after each
+    refinement and pruned ones at most that, so ``lb <= ub``, and
+    ``ub <= lb + tol`` once the store is empty.
     """
 
     def __init__(self, r: ReducedProblem, carriers: list[int], tol: float):
@@ -240,22 +260,27 @@ class _CarrierSearch:
         self.carriers = carriers
         self.m = len(carriers)
         self.tol = tol
-        z0 = initial_vertex(r).active_z
-        self.store = _VertexSet(r.dim)
-        self.store.add(z0, float(np.sum(np.log(z0))))
         self.lb = 0.0
-        self.ub = self.store.max_value()
         self.best_c = np.ones(r.dim)
         self.best_q = np.zeros(r.dim)
+        full = r.cap_carrier.reshape(-1).astype(float)
+        ratios = compute_nd(r, full)[2]
+        f_full = float(np.sum(np.log(ratios)))
+        if f_full > self.lb:
+            self.lb, self.best_c, self.best_q = f_full, ratios, full
+        z0 = initial_vertex(r).active_z
+        self.store = _VertexSet(r.dim)
+        self.store.add(z0, float(np.sum(np.log(z0))), full)
+        self.ub = self.store.max_value()
 
     def refine(self):
-        """Project the best vertex, keep it as incumbent if it improves and
-        replace the vertex by its children."""
-        sel_idx, sel_max = self.store.argmax_lex()
-        parent = self.store.row(sel_idx)
-        self.store.pop(sel_idx)
+        """Project the best vertex from its stored start powers, keep the
+        projection as incumbent if it improves and replace the vertex by
+        its children, which inherit the projection's powers as their start."""
+        sel_idx, _ = self.store.argmax_lex()
+        parent, start = self.store.pop(sel_idx)
 
-        proj = dinkelbach_project(self.r, self.r.vector(parent))
+        proj = dinkelbach_project(self.r, self.r.vector(parent), start=start)
         proj_c = proj.z_proj.active_z
         f_proj = float(np.sum(np.log(proj_c)))
         if f_proj >= self.lb:
@@ -265,12 +290,12 @@ class _CarrierSearch:
 
         for child in generate_children(parent, proj_c, proj.powers):
             if not self.store.covers(child):
-                self.store.add(child, float(np.sum(np.log(child))))
+                self.store.add(child, float(np.sum(np.log(child))), proj.powers)
         self.store.prune_value(self.lb + self.tol)
         if self.store.count:
             self.ub = self.store.max_value()
         else:
-            self.ub = max(min(self.lb + self.tol, sel_max), self.lb)
+            self.ub = max(self.lb, self.store.dropped_max)
 
 
 def solve(

@@ -217,10 +217,12 @@ def p_from_z(r: ReducedProblem, sv: SinrVector) -> np.ndarray:
     Entries with z = 1 take zero power; the remaining cells of each
     sub-carrier are coupled only through each other's interference, giving
     one dense linear system per carrier, solved by Gaussian elimination
-    with partial pivoting. A pivot below 1e-12 of the system's largest
-    coefficient raises InconsistentSinrError("singular"); a solution entry
-    below -1e-12 W raises InconsistentSinrError("negative") and entries in
-    [-1e-12, 0) are clamped to 0.
+    with partial pivoting. Each row is divided by its serving gain, so the
+    diagonal is 1 however far the gains spread. A pivot below 1e-12 of the
+    scaled system's largest coefficient raises
+    InconsistentSinrError("singular"); a solution entry below -1e-12 W
+    raises InconsistentSinrError("negative") and entries in [-1e-12, 0)
+    are clamped to 0.
     """
     zc = r.active_values(sv)
     K, L = r.gain_active.shape
@@ -234,12 +236,13 @@ def p_from_z(r: ReducedProblem, sv: SinrVector) -> np.ndarray:
         A = np.zeros((m, m))
         b = np.zeros(m)
         for a, k in enumerate(cells):
+            g = r.gain_active[k, l] or 1.0  # a row without serving gain stays unscaled
             gamma = zc[k * L + l] - 1.0
-            A[a, a] = r.gain_active[k, l]
+            A[a, a] = r.gain_active[k, l] / g
             for c, j in enumerate(cells):
                 if j != k:
-                    A[a, c] = -gamma * r.gain_cross[k, l, j]
-            b[a] = gamma * N
+                    A[a, c] = -gamma * r.gain_cross[k, l, j] / g
+            b[a] = gamma * N / g
         x = _solve_dense(A, b, carrier=l)
         for a, k in enumerate(cells):
             v = x[a]

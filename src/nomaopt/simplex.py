@@ -4,7 +4,8 @@ Solves max c.x subject to A x <= b, x >= 0 with b >= 0, which is the only
 form the projection step needs (its epigraph variable is shifted so every
 right-hand side is non-negative, making the all-slack basis feasible and a
 phase-1 search unnecessary). Bland's smallest-index rule is used for both
-the entering and the leaving choice, so the method cannot cycle. Rows are
+the entering and the leaving choice, so the method cannot cycle, and each
+pivot eliminates the entering column with one rank-one update. Rows are
 equilibrated by their largest coefficient before pivoting; the tolerance
 applies to the equilibrated tableau.
 """
@@ -72,11 +73,10 @@ def solve_canonical_max(
         tied = rows[ratios <= best + tol * max(1.0, abs(best))]
         leave = int(min(tied, key=lambda i: basis[i]))
 
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and T[r, enter] != 0.0:
-                T[r] -= T[r, enter] * T[leave]
+        T[leave] /= T[leave, enter]
+        f = T[:, enter].copy()
+        f[leave] = 0.0
+        T -= np.outer(f, T[leave])
         basis[leave] = enter
         iterations += 1
         if iterations > max_iter:

@@ -19,6 +19,7 @@ from nomaopt.experiments import (
     write_sweep_csv,
 )
 from nomaopt.model import ScenarioError, sic_pair_margin
+from nomaopt.polyblock import solve
 
 
 SMALL = RadioConfig(users_per_cell=2, seed=3)
@@ -307,7 +308,9 @@ def test_bench_structure():
         assert row.mean_ms > 0
         assert row.std_ms >= 0
     pb_rows = [r for r in res.rows if r.algo == "polyblock"]
-    assert all(r.mean_iters >= 1 for r in pb_rows)
+    for row in pb_rows:
+        iters = [solve(generate_scenario(SMALL, seed=[SMALL.seed, t]), row.epsilon).iterations for t in range(2)]
+        assert row.mean_iters == np.mean(iters)
     fp_rows = [r for r in res.rows if r.algo == "full-power"]
     assert all(r.mean_iters == 0 for r in fp_rows)
 

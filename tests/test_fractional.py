@@ -269,7 +269,7 @@ def _extreme_ray(seed):
     return r, z0
 
 
-@pytest.mark.parametrize("seed", range(100))
+@pytest.mark.parametrize("seed", [*range(100), 637, 1286])
 def test_projection_extreme_range_lands_on_boundary(seed):
     r, z0 = _extreme_ray(seed)
     res = dinkelbach_project(r, r.vector(z0))
@@ -279,3 +279,28 @@ def test_projection_extreme_range_lands_on_boundary(seed):
         assert not membership(r, r.vector(beyond))
     assert np.all(np.diff(res.lambdas) > 0)
     assert np.all(res.powers <= r.cap_carrier.reshape(-1))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_projection_warm_start_matches_cold_start(seed):
+    # the solver starts a child's projection at its parent's boundary powers
+    r, z0 = _extreme_ray(seed)
+    parent = z0 * 10.0 ** np.random.default_rng(seed).uniform(0.0, 1.0, size=r.dim)
+    start = dinkelbach_project(r, r.vector(parent)).powers
+    cold = dinkelbach_project(r, r.vector(z0))
+    warm = dinkelbach_project(r, r.vector(z0), start=start)
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-8)
+    assert membership(r, warm.z_proj)
+    assert np.all(np.diff(warm.lambdas) > 0)
+    assert np.all(warm.powers <= r.cap_carrier.reshape(-1))
+
+
+def test_projection_rejects_start_outside_caps():
+    r = reduce_scenario(k1_scenario(gain=1.0, noise=1.0, cap=2.0))
+    for start in ([2.5], [-1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError):
+            dinkelbach_project(r, r.vector([11.0]), start=start)
+    # a start on the boundary certifies it with one solve
+    res = dinkelbach_project(r, r.vector([11.0]), start=[2.0])
+    assert res.lam == pytest.approx(3.0 / 11.0, rel=1e-12)
+    assert res.iterations == 1

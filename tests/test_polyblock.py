@@ -2,8 +2,8 @@
 
 Single-cell closed form used throughout: with gain g, noise N and cap P
 the best shifted SINR is 1 + g P / N, so the optimal sum rate is
-log(1 + g P / N) and the box corner equals the optimum (one projection
-must finish the search).
+log(1 + g P / N), and the box corner and the starting full-power
+incumbent both equal the optimum, so the search needs no projection.
 """
 
 import csv
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
-from nomaopt.oracle import grid_optimum
+from nomaopt.oracle import baseline_full_power, grid_optimum
 from nomaopt.polyblock import (
     MAX_ITERATIONS,
     MAX_VERTICES,
     _carrier_groups,
+    _carrier_problem,
+    _CarrierSearch,
     _VertexSet,
     generate_children,
     initial_vertex,
@@ -104,10 +106,12 @@ def test_children_count_matches_powered_coordinates():
 
 
 def _store(rows):
+    # each vertex's start powers are its values minus one, so tests can
+    # tell which powers travel with which vertex
     store = _VertexSet(len(rows[0]))
     for row in rows:
         z = np.array(row, dtype=float)
-        store.add(z, float(np.sum(np.log(z))))
+        store.add(z, float(np.sum(np.log(z))), z - 1.0)
     return store
 
 
@@ -139,6 +143,21 @@ def test_prune_applies_value_threshold():
     assert store.count == 0
 
 
+def test_start_powers_move_with_their_vertex():
+    store = _store([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0], [4.0, 1.0]])
+    assert store.dropped_max == -math.inf
+    store.prune_value(math.log(4.0))
+    assert store.dropped_max == math.log(4.0)
+    zc, q = store.pop(0)
+    assert np.array_equal(q, zc - 1.0)
+    while store.count:
+        zc, q = store.pop(store.count - 1)
+        assert np.array_equal(q, zc - 1.0)
+    # pruning an empty store drops nothing
+    store.prune_value(10.0)
+    assert store.dropped_max == math.log(4.0)
+
+
 def test_argmax_lex_breaks_ties_by_largest_coordinates():
     # (2, 3) and (3, 2) tie on log 6; the lexicographically larger wins
     store = _store([[2.0, 3.0], [3.0, 2.0], [1.0, 5.0]])
@@ -160,8 +179,10 @@ def test_solve_single_cell_closed_form():
     assert res.certified
     assert res.sum_rate_nats == pytest.approx(math.log(3.0), abs=1e-8)
     assert res.sum_rate_bits == pytest.approx(math.log(3.0) / math.log(2.0), abs=1e-8)
-    assert res.iterations == 1
-    assert res.projections == 1
+    # full power is the optimum, so the starting incumbent closes the gap
+    assert res.iterations == 0
+    assert res.projections == 0
+    assert res.trace == ()
     assert res.upper_bound <= math.log(3.0) + 1e-9
     assert res.allocation.p.sum() == pytest.approx(2.0, rel=1e-8)
     assert res.feasibility.feasible
@@ -232,6 +253,44 @@ def test_solve_zero_cap_carrier_terminates():
     assert res.status == "optimal"
     assert res.sum_rate_nats == pytest.approx(math.log(3.0), abs=1e-8)
     assert res.allocation.p[1] == 0.0
+
+
+def test_solve_gives_a_weak_carrier_its_full_power():
+    # the summed-gap stop certified this drop before its weak carrier was
+    # ever projected, leaving that carrier silent at 0.724 nats
+    s = generate_scenario(RadioConfig(num_cells=1, num_subcarriers=3, users_per_cell=2, fading=True), seed=[1, 5])
+    res = solve(s, epsilon=0.05)
+    assert res.certified
+    assert res.iterations == 0
+    # one cell: full power on every carrier is the optimum, 0.7506392 nats
+    assert res.sum_rate_nats == pytest.approx(baseline_full_power(s).sum_rate_nats, abs=1e-12)
+    assert res.sum_rate_nats >= 0.750639
+
+
+def test_solve_never_loses_to_full_power():
+    cfg = RadioConfig(num_cells=3, num_subcarriers=2, users_per_cell=2, fading=True)
+    for i in range(20):
+        s = generate_scenario(cfg, seed=[11, i])
+        assert solve(s, epsilon=0.1).sum_rate_nats >= baseline_full_power(s).sum_rate_nats - 1e-9
+
+
+def test_emptied_group_bound_is_its_largest_pruned_value():
+    eps = 0.05
+    s = generate_scenario(RadioConfig(num_cells=2, num_subcarriers=2, users_per_cell=2, fading=True), seed=[0, 0])
+    r = reduce_scenario(s)
+    for carriers in _carrier_groups(r):
+        g = _CarrierSearch(_carrier_problem(s, r, carriers[0]), carriers, eps / 2)
+        for _ in range(100):
+            if not g.store.count:
+                break
+            g.refine()
+        assert g.store.count == 0
+        assert g.lb <= g.ub == max(g.lb, g.store.dropped_max) <= g.lb + eps / 2
+        # the bound still covers the carrier's own optimum
+        assert g.ub >= grid_optimum(g.r.scenario, grid_points_per_dim=400).value - 1e-9
+    res = solve(s, epsilon=eps)
+    assert res.certified
+    assert res.upper_bound >= grid_optimum(s, grid_points_per_dim=60).value - 1e-9
 
 
 def test_solve_is_deterministic():
