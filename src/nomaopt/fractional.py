@@ -1,32 +1,42 @@
 """Projection of a SINR vector onto the feasible boundary along its ray.
 
-The largest lambda with lambda*z still realizable is the optimum of a
-max-min problem over power ratios, found by the normalized Dinkelbach
-iteration of Crouzeix, Ferland and Schaible (JOTA 1985): fix lambda,
-maximize the worst margin (n_i - lambda*z_i*d_i) / (lambda*z_i*d_prev_i)
-over the power box, where d_prev are the denominators at the current
-powers, take the maximizer's smallest ratio n_i/(z_i*d_i) as the next
-lambda, repeat. Dividing each margin by its previous denominator keeps
-the step fast when several ratios tie at the boundary, which slows the
-plain update down to linear convergence. Each inner maximization is
-affine in the powers, so it is solved exactly as a linear program in
-epigraph form, and its value certifies how far the boundary can still be.
+Along a ray, realizability of lambda * z is monotone in lambda, and
+testing it is one power-system solve per carrier plus a cap check
+(``reduction.solve_power_system``, the solve behind ``p_from_z`` and
+``membership``). The projection is a bracketed line search on lambda:
+the powers q(lambda) are a Neumann series in the SINRs gamma =
+max(lambda z, 1) - 1 with non-negative coefficients, so
+h(lambda) = max_i q_i / cap_i - 1 is convex and nondecreasing up to the
+pole, a tangent step from the realizable lower end lands at or past the
+boundary and a chord step towards an evaluated upper end lands short of
+it. Both ends are certified by evaluations, so the output is realizable
+by construction.
 
-Scaling notes: powers enter the LP normalized by their per-carrier caps,
-and the margins are relative (at the current powers margin i is
-ratio_i / (lambda*z_i) - 1), so the simplex tolerance bounds the relative
-error of lambda whatever its size. The epigraph variable is shifted to
-make every right-hand side non-negative, so the simplex solver's
-all-slack start is feasible.
+The inner max-min LP of the normalized Dinkelbach iteration (Crouzeix,
+Ferland and Schaible, JOTA 1985), which this search replaced, stays as
+the reference the projection is tested against: fix lambda, maximize the
+worst margin (n_i - lambda*z_i*d_i) / (lambda*z_i*d_prev_i) over the
+power box. Powers enter it normalized by their per-carrier caps, the
+margins are relative, and the epigraph variable is shifted so that every
+right-hand side is non-negative and the simplex solver's all-slack start
+is feasible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .reduction import ReducedProblem, SinrVector, p_from_z
+from .reduction import (
+    InconsistentSinrError,
+    ReducedProblem,
+    SinrVector,
+    p_from_z,  # noqa: F401  (the benchmark tracer patches it under this name)
+    solve_power_system,
+)
 from .simplex import solve_canonical_max
 
 __all__ = [
@@ -42,7 +52,7 @@ __all__ = [
 
 
 class ProjectionError(RuntimeError):
-    """The Dinkelbach iteration did not certify the boundary within its budget."""
+    """The line search did not close its bracket within its budget."""
 
     def __init__(self, message: str, lambdas=()):
         super().__init__(message)
@@ -51,7 +61,7 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FractionalState:
-    """Snapshot of one Dinkelbach step.
+    """Powers, numerators, denominators and ratios at one scale lambda.
 
     q are reduced powers in watts; n and d the per-entry numerators and
     denominators in watts (n = serving power term + interference + noise,
@@ -157,15 +167,20 @@ def solve_maximin_lp(lp: MaximinLP, dim: int | None = None) -> tuple[np.ndarray,
 class ProjectionResult:
     """Boundary point lambda * z with the powers that realize it.
 
-    ``powers`` realizes ``z_proj`` (it is p_from_z of the output, clamped
-    to the carrier caps against round-off on ill-conditioned carriers);
-    ``state`` holds the last accepted inner maximizer, whose ratios
-    dominate the output componentwise. ``iterations`` counts inner LP
-    solves.
+    ``lam`` is the largest scale the line search certified realizable and
+    ``lam_upper`` the smallest it certified unrealizable, or ``lam``
+    itself when a cap binds exactly at ``lam`` or ``lam`` reaches the
+    interference-free bound; the boundary lies in [lam, lam_upper] and
+    lam_upper <= lam * (1 + 1e-9). ``powers`` realize ``z_proj`` within
+    the carrier caps, ``state`` holds the ratios at those powers and
+    ``lambdas`` the accepted lower ends, strictly increasing.
+    ``iterations`` counts power-system evaluations; the name is kept from
+    the LP iteration this search replaced.
     """
 
     z_proj: SinrVector
     lam: float
+    lam_upper: float
     powers: np.ndarray
     lambdas: tuple[float, ...]
     iterations: int
@@ -173,6 +188,85 @@ class ProjectionResult:
 
 
 _LAM_RTOL = 1e-9
+_Q_ATOL = 1e-12  # watts
+
+
+class _Point(NamedTuple):
+    """One evaluated scale. ``q`` is None past the pole (no non-negative
+    powers) and ``h`` = max_i q_i / cap_i - 1 over positive caps. At a
+    realizable point ``tangent`` is the smallest scale at which the
+    tangent of some q_i reaches its cap, and ``step`` the smallest move
+    worth trying: half the change of lambda that moves lambda by 1e-9
+    relative or a power by 1e-12 W, and at least one float."""
+
+    lam: float
+    z: np.ndarray
+    q: np.ndarray | None
+    h: float
+    ok: bool
+    tangent: float = math.inf
+    step: float = 0.0
+
+
+def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, lam: float) -> _Point:
+    """Solve for the powers of max(lam * zc, 1) and test them against the caps.
+
+    With A q = gamma N / g, the derivative is dq/dlam = A^-1 diag(zc / gamma) q
+    (zero where gamma = 0, the left derivative at a kink).
+    """
+    z = np.maximum(lam * zc, 1.0)
+    gamma = z - 1.0
+    try:
+        q, inv = solve_power_system(r, gamma)
+    except InconsistentSinrError:
+        return _Point(lam, z, None, math.nan, False)
+    h = float(np.max(q / np.where(caps > 0.0, caps, np.inf))) - 1.0
+    if not np.all(q <= caps):
+        return _Point(lam, z, q, h, False)
+    K, L = r.gain_active.shape
+    rate = np.divide(zc * q, gamma, out=np.zeros_like(q), where=gamma > 0.0)
+    dq = np.matmul(inv, rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1)
+    reach = np.divide(caps - q, dq, out=np.full_like(q, np.inf), where=dq > 0.0)
+    step = 0.5 * min(_LAM_RTOL * lam, _Q_ATOL / max(float(dq.max()), 1e-300))
+    return _Point(lam, z, q, h, True, lam + float(reach.min()), max(step, float(np.spacing(lam))))
+
+
+def _trial(lo: _Point, up: _Point | None, hi: float, tangent: bool) -> float | None:
+    """Next scale to evaluate inside (lo, hi), or None when no float is left.
+
+    Alternates a tangent step from lo (at or past the boundary, as each
+    q_i is convex) with a chord step on h between lo and an evaluated upper
+    end (short of it, h being convex). A step is kept ``lo.step`` away
+    from both ends, so once either end sits on the boundary the next point
+    closes the bracket. The search
+    bisects when the step leaves the bracket or the upper end lies past the
+    pole, and tries the analytic bound hi itself while no upper end has
+    been evaluated.
+    """
+    if tangent:
+        t = lo.tangent
+    elif up is not None and up.q is not None and up.h > lo.h:
+        t = lo.lam + (hi - lo.lam) * -lo.h / (up.h - lo.h)
+    else:
+        t = math.nan
+    d = lo.step
+    if t <= hi and hi - lo.lam > 2.0 * d:
+        t = min(max(t, lo.lam + d), hi - d)
+    elif up is None:
+        return hi
+    else:
+        t = lo.lam + 0.5 * (hi - lo.lam)
+    return t if lo.lam < t < hi else None
+
+
+def _closed(lo: _Point, up: _Point | None) -> bool:
+    """The bracket fixes lambda to 1e-9 relative and the powers to 1e-12 W."""
+    return (
+        up is not None
+        and up.q is not None
+        and up.lam - lo.lam <= _LAM_RTOL * lo.lam
+        and float(np.max(up.q - lo.q)) <= _Q_ATOL
+    )
 
 
 def dinkelbach_project(
@@ -186,23 +280,21 @@ def dinkelbach_project(
     Returns the scaled vector (entries floored at 1, since a ray scale
     below a coordinate's zero-power value 1 just means that coordinate
     gets no power), the final scale lambda, and the powers realizing the
-    output. Every candidate scale is taken from achieved power ratios, so
-    the output is realizable by construction rather than by tolerance.
+    output. The name is kept for the public API; the method is a bracketed
+    line search on lambda.
 
-    Normalized Dinkelbach iteration: from q = start (q = 0 when start is
-    None), each step maximizes the worst margin (n_i - lam z_i d_i) /
-    (lam z_i d_prev_i), with d_prev the denominators at the current
-    powers, and keeps the maximizer when its scale min_i ratio_i / z_i
-    exceeds lam. At the boundary powers every such margin is at least
-    (lam* - lam) / lam * noise / d_prev_i, so the maximum margin t
-    certifies lam* <= lam + lam * max(t, 0) * max(d_prev) / noise. The
-    loop stops once that certified gap is at most 1e-9 * max(1, lam), and
-    raises ProjectionError when max_outer solves do not get there. Start
-    powers must lie within the carrier caps: then they are realizable, so
-    the first lam, min_i ratio_i / z_i at start, is at most the boundary
-    scale, and as the certificate holds for any d_prev, a start near the
+    The bracket starts at lo = min_i ratio_i / z_i at the start powers
+    (q = 0 when start is None), realizable because the start is, and at
+    the interference-free bound hi = min_i (1 + g_ii cap_i / N) / z_i.
+    Each step evaluates one scale (see ``_trial``) and moves lo when it is
+    realizable, the upper end otherwise. The search stops when a cap binds
+    exactly at lo, when lo reaches the bound, when the bracket fixes
+    lambda to 1e-9 relative and the powers to 1e-12 W, or when no float
+    is left inside it, and raises ProjectionError when max_outer
+    evaluations do not get there. Start powers must lie within the
+    carrier caps, which is what makes them realizable; a start near the
     boundary (say the projection of a vertex dominating sv) only saves
-    solves.
+    evaluations.
     """
     zc = r.active_values(sv)
     q = np.zeros(r.dim)
@@ -212,44 +304,56 @@ def dinkelbach_project(
         return ProjectionResult(
             z_proj=r.vector(np.ones(r.dim)),
             lam=1.0,
+            lam_upper=1.0,
             powers=q,
             lambdas=(1.0,),
             iterations=0,
             state=state,
         )
 
+    caps = r.cap_carrier.reshape(-1)
     if start is not None:
         q = np.asarray(start, dtype=float).reshape(-1)
-        if q.shape[0] != r.dim or not np.all((q >= 0.0) & (q <= r.cap_carrier.reshape(-1))):
+        if q.shape[0] != r.dim or not np.all((q >= 0.0) & (q <= caps)):
             raise ValueError("start powers must lie within the carrier caps")
-    n, d, ratios = compute_nd(r, q)
-    N = r.scenario.noise_power
-    state = FractionalState(q=q, n=n, d=d, ratios=ratios, lam=float(np.min(ratios / zc)))
-    lambdas = [state.lam]
-    for solves in range(1, max_outer + 1):
-        lam = state.lam
-        q, t = solve_maximin_lp(build_maximin_lp(r, lam, zc, state.d))
-        gap = lam * max(t, 0.0) * float(np.max(state.d)) / N
-        n, d, ratios = compute_nd(r, q)
-        lam_q = float(np.min(ratios / zc))
-        if lam_q > lam:
-            state = FractionalState(q=q, n=n, d=d, ratios=ratios, lam=lam_q)
-            lambdas.append(lam_q)
-        if gap <= _LAM_RTOL * max(1.0, lam):
+    ratios = compute_nd(r, q)[2]
+    hi = float(np.min((1.0 + r.gain_active.reshape(-1) * caps / r.scenario.noise_power) / zc))
+    lo = _evaluate(r, zc, caps, float(np.min(ratios / zc)))
+    up = None
+    evaluations = 1
+    if not lo.ok:
+        # round-off at a start on the boundary; with every gamma = 0 silence is realizable
+        up, hi = lo, lo.lam
+        lo = _evaluate(r, zc, caps, 1.0 / float(np.max(zc)))
+        evaluations += 1
+    lambdas = [lo.lam]
+    tangent = True
+    while not (lo.h == 0.0 or lo.lam >= hi or _closed(lo, up)):
+        t = _trial(lo, up, hi, tangent)
+        if t is None:
             break
-    else:
-        raise ProjectionError(
-            f"no convergence in {max_outer} inner solves (certified gap {gap:.3g})",
-            lambdas,
-        )
+        if evaluations >= max_outer:
+            raise ProjectionError(
+                f"no convergence in {max_outer} evaluations (bracket [{lo.lam!r}, {hi!r}])",
+                lambdas,
+            )
+        pt = _evaluate(r, zc, caps, t)
+        evaluations += 1
+        tangent = not tangent
+        if pt.ok:
+            lo = pt
+            lambdas.append(pt.lam)
+        else:
+            up, hi = pt, pt.lam
 
-    z_proj = r.vector(np.maximum(state.lam * zc, 1.0))
-    powers = np.minimum(p_from_z(r, z_proj), r.cap_carrier.reshape(-1))
+    exact = lo.h == 0.0 or lo.lam >= hi
+    n, d, ratios = compute_nd(r, lo.q)
     return ProjectionResult(
-        z_proj=z_proj,
-        lam=state.lam,
-        powers=powers,
+        z_proj=r.vector(lo.z),
+        lam=lo.lam,
+        lam_upper=lo.lam if exact else up.lam,
+        powers=lo.q,
         lambdas=tuple(lambdas),
-        iterations=solves,
-        state=state,
+        iterations=evaluations,
+        state=FractionalState(q=lo.q, n=n, d=d, ratios=ratios, lam=lo.lam),
     )

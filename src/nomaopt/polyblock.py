@@ -11,18 +11,20 @@ set. Each group's incumbent starts at its full-power point. Each
 iteration picks the carrier group with the widest weighted gap, selects
 its vertex with the best objective (the group's upper bound), projects it
 onto the feasible boundary along its ray (which yields a feasible
-incumbent candidate), and replaces it by one child per powered
-coordinate, shrinking the approximation; each child's projection starts
+incumbent candidate and a certified unrealizable point on the ray just
+past it), and replaces it by one child per coordinate that point lifts
+above 1, shrinking the approximation; each child's projection starts
 from its parent's boundary powers. The loop ends when the summed upper
 bound is within epsilon of the summed incumbent, which certifies
 epsilon-optimality (with no projection at all when the full-power
 incumbents already are), or when a safety budget runs out, in which case
 the result carries the current bounds and certified=False.
 
-A child is generated only for coordinates that carry power at the
-projection. Coordinates without power sit at the boundary's zero-power
-floor, and no realizable point can exceed the projection on every powered
-coordinate, so the skipped boxes cannot contain a better solution.
+The children are cut at the unrealizable point u, not at the boundary
+point itself. The feasible set is normal, so every realizable point lies
+below u on some coordinate, and not on one where u is 1, the floor of
+every coordinate: the boxes left out hold no realizable point, and the
+upper bound needs no tolerance for where the boundary was found.
 """
 
 from __future__ import annotations
@@ -133,16 +135,19 @@ def initial_vertex(r: ReducedProblem) -> SinrVector:
     return r.vector(vals.reshape(-1))
 
 
-def generate_children(parent: np.ndarray, proj: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """One child per powered coordinate, that coordinate lowered.
+def generate_children(parent: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """One child per coordinate where ``upper`` exceeds 1, that coordinate lowered.
 
-    Child i keeps the flat parent everywhere except coordinate i, which
-    takes the projection's value clamped to the parent. Rows come in
-    ascending coordinate order; coordinates without power get no child.
+    ``upper`` is an unrealizable point on the parent's ray (or its
+    boundary point when a cap binds there). Child i keeps the flat parent
+    everywhere except coordinate i, which takes upper's value clamped to
+    the parent. Rows come in ascending coordinate order. Every realizable
+    point lies below upper on some coordinate, which cannot be one where
+    upper is 1, so the boxes left out hold no realizable point.
     """
-    idx = np.flatnonzero(powers > 0.0)
+    idx = np.flatnonzero(upper > 1.0)
     children = np.tile(parent, (idx.size, 1))
-    children[np.arange(idx.size), idx] = np.minimum(proj[idx], parent[idx])
+    children[np.arange(idx.size), idx] = np.minimum(upper[idx], parent[idx])
     return children
 
 
@@ -276,7 +281,8 @@ class _CarrierSearch:
     def refine(self):
         """Project the best vertex from its stored start powers, keep the
         projection as incumbent if it improves and replace the vertex by
-        its children, which inherit the projection's powers as their start."""
+        its children, cut at the certified unrealizable scale
+        ``lam_upper``; they inherit the projection's powers as their start."""
         sel_idx, _ = self.store.argmax_lex()
         parent, start = self.store.pop(sel_idx)
 
@@ -288,7 +294,8 @@ class _CarrierSearch:
             self.best_c = proj_c.copy()
             self.best_q = proj.powers.copy()
 
-        for child in generate_children(parent, proj_c, proj.powers):
+        upper = np.maximum(proj.lam_upper * parent, 1.0)
+        for child in generate_children(parent, upper):
             if not self.store.covers(child):
                 self.store.add(child, float(np.sum(np.log(child))), proj.powers)
         self.store.prune_value(self.lb + self.tol)

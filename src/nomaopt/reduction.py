@@ -15,7 +15,9 @@ num_cells * num_subcarriers indexed by k * L + l.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "reduce_scenario",
     "z_from_p",
     "p_from_z",
+    "solve_power_system",
     "objective",
     "membership",
     "sum_rate_from_powers",
@@ -127,6 +130,14 @@ class ReducedProblem:
     def dim(self) -> int:
         return self.gain_active.size
 
+    @cached_property
+    def _system(self) -> tuple[np.ndarray, np.ndarray]:
+        """Constants of ``solve_power_system``: per carrier, the row scale
+        1 / g_kk (L, K) and the cross gains g_kj / g_kk (L, K, K)."""
+        scale = 1.0 / self.gain_active.T
+        cross = np.ascontiguousarray(np.transpose(self.gain_cross, (1, 0, 2))) * scale[:, :, None]
+        return scale, cross
+
     def vector(self, values) -> SinrVector:
         """Wrap flat reduced values (length K*L) as a full SinrVector."""
         values = np.asarray(values, dtype=float).reshape(-1)
@@ -214,73 +225,73 @@ def z_from_p(r: ReducedProblem, q) -> SinrVector:
 def p_from_z(r: ReducedProblem, sv: SinrVector) -> np.ndarray:
     """Unique reduced powers realizing the shifted SINRs, flat (K*L,) watts.
 
-    Entries with z = 1 take zero power; the remaining cells of each
-    sub-carrier are coupled only through each other's interference, giving
-    one dense linear system per carrier, solved by Gaussian elimination
-    with partial pivoting. Each row is divided by its serving gain, so the
-    diagonal is 1 however far the gains spread. A pivot below 1e-12 of the
-    scaled system's largest coefficient raises
-    InconsistentSinrError("singular"); a solution entry below -1e-12 W
-    raises InconsistentSinrError("negative") and entries in [-1e-12, 0)
-    are clamped to 0.
+    Entries with z = 1 take zero power; the rest is ``solve_power_system``
+    at SINRs z - 1, which raises InconsistentSinrError("singular") or
+    InconsistentSinrError("negative") when no such powers exist.
     """
-    zc = r.active_values(sv)
+    return solve_power_system(r, r.active_values(sv) - 1.0)[0]
+
+
+def solve_power_system(r: ReducedProblem, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Powers giving each reduced entry SINR gamma, with each carrier's inverse.
+
+    Cell k on carrier l needs g_kk q_k = gamma_k (N + sum_j g_kj q_j) over
+    the other cells j on l. Dividing each row by its serving gain (Scenario
+    validation keeps gains positive) gives one system per carrier,
+    A_l q_l = gamma_l N / g_l with A_l = I - diag(gamma_l / g_l) G_l,
+    which all carriers solve in one batched call. Entries with gamma = 0
+    take zero power: their rows are unit rows and their columns are
+    dropped, since a silent cell interferes with nobody.
+
+    Returns the flat powers (K*L,) and A^-1 stacked per carrier (L, K, K).
+    1 / (A^-1)_kk is the pivot that eliminating every other cell leaves on
+    cell k, whatever units the powers are in; one below 1e-12 of the unit
+    diagonal raises InconsistentSinrError("singular"). A power below
+    -1e-12 W raises InconsistentSinrError("negative"); powers in
+    [-1e-12, 0) are clamped to 0.
+    """
     K, L = r.gain_active.shape
-    N = r.scenario.noise_power
-    q = np.zeros(r.dim)
-    for l in range(L):
-        cells = [k for k in range(K) if zc[k * L + l] > 1.0]
-        if not cells:
-            continue
-        m = len(cells)
-        A = np.zeros((m, m))
-        b = np.zeros(m)
-        for a, k in enumerate(cells):
-            g = r.gain_active[k, l] or 1.0  # a row without serving gain stays unscaled
-            gamma = zc[k * L + l] - 1.0
-            A[a, a] = r.gain_active[k, l] / g
-            for c, j in enumerate(cells):
-                if j != k:
-                    A[a, c] = -gamma * r.gain_cross[k, l, j] / g
-            b[a] = gamma * N / g
-        x = _solve_dense(A, b, carrier=l)
-        for a, k in enumerate(cells):
-            v = x[a]
-            if v < -1e-12:
-                raise InconsistentSinrError(
-                    f"SINR vector needs negative power {v:.6g} W in cell {k} on carrier {l}",
-                    reason="negative",
-                )
-            q[k * L + l] = max(v, 0.0)
-    return q
-
-
-def _solve_dense(A: np.ndarray, b: np.ndarray, carrier: int) -> np.ndarray:
-    """Gaussian elimination with partial pivoting and a relative pivot floor."""
-    A = A.copy()
-    b = b.copy()
-    m = A.shape[0]
-    scale = np.max(np.abs(A))
-    tol = 1e-12 * max(scale, np.finfo(float).tiny)
-    for col in range(m):
-        piv = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[piv, col]) <= tol:
+    scale, cross = r._system
+    gam = np.asarray(gamma, dtype=float).reshape(K, L).T
+    on = gam > 0.0
+    A = gam[:, :, None] * -cross * on[:, None, :]
+    diag = np.arange(K)
+    A[:, diag, diag] = 1.0
+    rhs = np.zeros((L, K, K + 1))
+    rhs[:, :, 0] = gam * scale * r.scenario.noise_power
+    # the inverse's columns start one right: flat positions k (K + 2) + 1
+    # address its diagonal (rhs is C-contiguous, so this writes through)
+    rhs.reshape(L, K * (K + 1))[:, 1 :: K + 2] = 1.0
+    x = _solve_carriers(A, rhs)
+    growth = np.abs(x.reshape(L, K * (K + 1))[:, 1 :: K + 2])
+    if not growth.max() <= 1e12:
+        l = int(np.flatnonzero(~np.all(growth <= 1e12, axis=1))[0])
+        raise InconsistentSinrError(
+            f"singular SINR system on carrier {l} (pivot {1.0 / growth[l].max():.3g})",
+            reason="singular",
+        )
+    q = x[:, :, 0].T.reshape(-1)
+    low = int(np.argmin(q))
+    if q[low] < 0.0:
+        if q[low] < -1e-12:
             raise InconsistentSinrError(
-                f"singular SINR system on carrier {carrier} (pivot {A[piv, col]:.3g})",
-                reason="singular",
+                f"SINR vector needs negative power {q[low]:.6g} W in cell {low // L} on carrier {low % L}",
+                reason="negative",
             )
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, m):
-            f = A[row, col] / A[col, col]
-            if f != 0.0:
-                A[row, col:] -= f * A[col, col:]
-                b[row] -= f * b[col]
-    x = np.zeros(m)
-    for row in range(m - 1, -1, -1):
-        x[row] = (b[row] - A[row, row + 1 :] @ x[row + 1 :]) / A[row, row]
-    return x
+        q = np.maximum(q, 0.0)
+    return q, x[:, :, 1:]
+
+
+def _solve_carriers(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve; an exactly singular carrier gets NaN instead of raising."""
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for l in range(A.shape[0]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[l] = np.linalg.solve(A[l], rhs[l])
+        return out
 
 
 def objective(sv: SinrVector, weights=None) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from nomaopt.model import Scenario
+from nomaopt.reduction import reduce_scenario
 
 # pyproject.toml puts src/ on this process's path; the CLI tests start
 # child interpreters, which need it on PYTHONPATH as well.
@@ -83,3 +84,15 @@ def random_scenario(rng, num_cells=2, num_subcarriers=1, users_per_cell=2,
     g = 10.0 ** rng.uniform(-1.0, 1.0, size=(num_cells, U, num_subcarriers))
     cap = cap_scale * rng.uniform(0.5, 1.0)
     return make_scenario(g, noise=noise, subcarrier_cap=cap)
+
+
+def extreme_ray(seed):
+    """Reduced problem and ray with gains over twelve decades, noise 1e-13,
+    some zero caps and ray values up to 1e3."""
+    rng = np.random.default_rng(seed)
+    K, L = int(rng.integers(2, 8)), int(rng.integers(1, 3))
+    g = 10.0 ** rng.uniform(-16.0, -4.0, size=(K, 2 * K, L))
+    caps = rng.uniform(0.0, 1e-3) * (rng.uniform(size=(K, L)) > 0.2)
+    r = reduce_scenario(make_scenario(g, noise=1e-13, subcarrier_cap=caps))
+    z0 = 1.0 + 10.0 ** rng.uniform(-3.0, 3.0, size=r.dim) * (rng.uniform(size=r.dim) > 0.1)
+    return r, z0

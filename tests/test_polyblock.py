@@ -66,36 +66,36 @@ def test_initial_vertex_dominates_every_member():
 
 
 def test_children_lower_one_coordinate_each():
-    kids = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.0]), np.array([1.0, 1.0]))
-    assert np.array_equal(kids, [[2.0, 3.0], [3.0, 1.0]])
+    kids = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.5]))
+    assert np.array_equal(kids, [[2.0, 3.0], [3.0, 1.5]])
 
 
 def test_children_skip_unpowered_coordinates():
-    kids = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.0]), np.array([0.5, 0.0]))
+    # a coordinate the cut point leaves at 1 gets no child
+    kids = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.0]))
     assert np.array_equal(kids, [[2.0, 3.0]])
-    none = generate_children(np.array([3.0, 3.0]), np.array([2.0, 1.0]), np.zeros(2))
+    none = generate_children(np.array([3.0, 3.0]), np.ones(2))
     assert none.shape == (0, 2)
 
 
 def test_children_are_clamped_to_the_parent():
-    # a projection a hair above the parent must not raise the child
+    # a cut point a hair above the parent must not raise the child
     parent = np.array([2.0, 3.0, 4.0])
-    proj = np.array([2.0 * (1 + 1e-13), 1.5, 4.5])
-    kids = generate_children(parent, proj, np.ones(3))
+    upper = np.array([2.0 * (1 + 1e-13), 1.5, 4.5])
+    kids = generate_children(parent, upper)
     assert np.array_equal(kids, [[2.0, 3.0, 4.0], [2.0, 1.5, 4.0], [2.0, 3.0, 4.0]])
 
 
 def test_children_count_matches_powered_coordinates():
     rng = np.random.default_rng(67)
     parent = 1.0 + rng.uniform(0.5, 3.0, size=6)
-    proj = 1.0 + (parent - 1.0) * rng.uniform(0.0, 1.0, size=6)
-    powers = rng.uniform(0.0, 1.0, size=6) * (rng.random(6) > 0.3)
-    kids = generate_children(parent, proj, powers)
-    powered = np.flatnonzero(powers > 0)
+    upper = 1.0 + (parent - 1.0) * rng.uniform(0.0, 1.0, size=6) * (rng.random(6) > 0.3)
+    kids = generate_children(parent, upper)
+    powered = np.flatnonzero(upper > 1.0)
     assert kids.shape == (powered.size, 6)
     for child, i in zip(kids, powered):
         expected = parent.copy()
-        expected[i] = proj[i]
+        expected[i] = upper[i]
         assert np.array_equal(child, expected)
 
 
@@ -272,6 +272,28 @@ def test_solve_never_loses_to_full_power():
     for i in range(20):
         s = generate_scenario(cfg, seed=[11, i])
         assert solve(s, epsilon=0.1).sum_rate_nats >= baseline_full_power(s).sum_rate_nats - 1e-9
+
+
+def test_fading_drops_project_in_few_evaluations(monkeypatch):
+    # a guard on the line search's step count, which, unlike its time,
+    # does not depend on the machine
+    import nomaopt.polyblock as P
+
+    counts = []
+    project = P.dinkelbach_project
+
+    def counted(*args, **kwargs):
+        res = project(*args, **kwargs)
+        counts.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(P, "dinkelbach_project", counted)
+    for K in (5, 6):
+        for i in range(4):
+            s = generate_scenario(RadioConfig(num_cells=K, users_per_cell=2, fading=True), seed=[0, i])
+            assert solve(s, epsilon=0.01, max_iterations=120).status == "optimal"
+    assert len(counts) > 100
+    assert np.mean(counts) <= 6.0
 
 
 def test_emptied_group_bound_is_its_largest_pruned_value():

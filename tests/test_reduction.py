@@ -158,6 +158,17 @@ def test_p_from_z_rejects_unrealizable_targets():
     assert info.value.reason == "negative"
 
 
+def test_p_from_z_conditioning_check_is_relative():
+    # sym2 at gamma = 2 - delta (both cells): q = gamma / (2 - gamma) and
+    # A^-1 has diagonal 1 / (1 - gamma^2 / 4), about 1 / delta
+    r = reduce_scenario(sym2_scenario())
+    q = p_from_z(r, r.vector([3.0 - 1e-6, 3.0 - 1e-6]))
+    assert np.allclose(q, (2.0 - 1e-6) / 1e-6, rtol=1e-6)
+    with pytest.raises(InconsistentSinrError) as info:
+        p_from_z(r, r.vector([3.0 - 1e-14, 3.0 - 1e-14]))
+    assert info.value.reason == "singular"
+
+
 def test_round_trip_random_instances():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -169,6 +180,60 @@ def test_round_trip_random_instances():
         assert np.allclose(back, q, rtol=1e-9, atol=1e-12)
         again = z_from_p(r, back)
         assert np.allclose(again.active_z, sv.active_z, rtol=1e-12)
+
+
+def _eliminate(r, zc):
+    """Reference for p_from_z: per carrier, Gaussian elimination with partial
+    pivoting over the powered cells' row-scaled system, the loop that
+    numpy.linalg.solve replaced. Returns None where p_from_z must raise."""
+    K, L = r.gain_active.shape
+    q = np.zeros(r.dim)
+    for l in range(L):
+        cells = [k for k in range(K) if zc[k * L + l] > 1.0]
+        m = len(cells)
+        A, b = np.eye(m), np.zeros(m)
+        for a, k in enumerate(cells):
+            gamma = zc[k * L + l] - 1.0
+            for c, j in enumerate(cells):
+                if j != k:
+                    A[a, c] = -gamma * r.gain_cross[k, l, j] / r.gain_active[k, l]
+            b[a] = gamma * r.scenario.noise_power / r.gain_active[k, l]
+        for col in range(m):
+            piv = col + int(np.argmax(np.abs(A[col:, col])))
+            A[[col, piv]], b[[col, piv]] = A[[piv, col]], b[[piv, col]]
+            for row in range(col + 1, m):
+                f = A[row, col] / A[col, col]
+                A[row, col:] -= f * A[col, col:]
+                b[row] -= f * b[col]
+        x = np.zeros(m)
+        for row in range(m - 1, -1, -1):
+            x[row] = (b[row] - A[row, row + 1 :] @ x[row + 1 :]) / A[row, row]
+        if np.any(x < -1e-12):
+            return None
+        q[[k * L + l for k in cells]] = np.maximum(x, 0.0)
+    return q
+
+
+def test_p_from_z_matches_elimination_reference():
+    # LAPACK eliminates in another order; on these systems (gains over two
+    # decades, targets up to 1.6x a realizable point) both stay within
+    # 1e-12 relative, about 4500 units in the last place
+    rng = np.random.default_rng(19)
+    outcomes = set()
+    for _ in range(300):
+        s = random_scenario(rng, num_cells=int(rng.integers(1, 6)), num_subcarriers=int(rng.integers(1, 4)))
+        r = reduce_scenario(s)
+        q = r.cap_carrier.reshape(-1) * rng.uniform(0.0, 1.0, size=r.dim) * (rng.uniform(size=r.dim) > 0.2)
+        zc = np.maximum(z_from_p(r, q).active_z * rng.uniform(1.0, 1.6), 1.0)
+        expected = _eliminate(r, zc)
+        if expected is None:
+            with pytest.raises(InconsistentSinrError) as info:
+                p_from_z(r, r.vector(zc))
+            assert info.value.reason == "negative"
+        else:
+            assert np.allclose(p_from_z(r, r.vector(zc)), expected, rtol=1e-12, atol=0.0)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_power_input_validation():
