@@ -1,11 +1,13 @@
-"""Projection of a SINR vector onto the feasible boundary along its ray.
+"""Projection of a reduced SINR ray onto the feasible boundary.
 
-Along a ray, realizability of lambda * z is monotone in lambda, and
-testing it is one power-system solve per carrier plus a cap check
-(``reduction.solve_power_system``, the solve behind ``p_from_z`` and
-``membership``). The projection is a bracketed line search on lambda:
-the powers q(lambda) are a Neumann series in the SINRs gamma =
-max(lambda z, 1) - 1 with non-negative coefficients, so
+Rays, boundary points and powers are flat reduced arrays (length
+``ReducedProblem.dim``, indexed by k * L + l), the form the polyblock
+loop keeps its vertices in. Along a ray, realizability of lambda * z is
+monotone in lambda, and testing it is one power-system solve per carrier
+plus a cap check (``reduction.solve_power_system``, the solve behind
+``p_from_z`` and ``membership``). The projection is a bracketed line
+search on lambda: the powers q(lambda) are a Neumann series in the
+SINRs gamma = max(lambda z, 1) - 1 with non-negative coefficients, so
 h(lambda) = max_i q_i / cap_i - 1 is convex and nondecreasing up to the
 pole, a tangent step from the realizable lower end lands at or past the
 boundary and a chord step towards an evaluated upper end lands short of
@@ -33,14 +35,14 @@ import numpy as np
 from .reduction import (
     InconsistentSinrError,
     ReducedProblem,
-    SinrVector,
+    _as_powers,
+    _interference,
     p_from_z,  # noqa: F401  (the benchmark tracer patches it under this name)
     solve_power_system,
 )
 from .simplex import solve_canonical_max
 
 __all__ = [
-    "FractionalState",
     "MaximinLP",
     "ProjectionError",
     "ProjectionResult",
@@ -57,22 +59,6 @@ class ProjectionError(RuntimeError):
     def __init__(self, message: str, lambdas=()):
         super().__init__(message)
         self.lambdas = tuple(lambdas)
-
-
-@dataclass(frozen=True, eq=False)
-class FractionalState:
-    """Powers, numerators, denominators and ratios at one scale lambda.
-
-    q are reduced powers in watts; n and d the per-entry numerators and
-    denominators in watts (n = serving power term + interference + noise,
-    d = interference + noise); ratios = n/d = 1 + SINR.
-    """
-
-    q: np.ndarray
-    n: np.ndarray
-    d: np.ndarray
-    ratios: np.ndarray
-    lam: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +84,13 @@ class MaximinLP:
 
 
 def compute_nd(r: ReducedProblem, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Numerators, denominators and ratios n/d at reduced powers q (watts)."""
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != r.dim:
-        raise ValueError(f"expected {r.dim} reduced powers, got {q.shape[0]}")
-    K, L = r.gain_active.shape
-    inter = np.einsum("klj,jl->kl", r.gain_cross, q.reshape(K, L)).reshape(-1)
-    d = inter + r.scenario.noise_power
+    """Numerators, denominators and ratios n/d at reduced powers q (watts).
+
+    n = serving power term + interference + noise and d = interference +
+    noise, per entry, so ratios = n / d = 1 + SINR.
+    """
+    q = _as_powers(r, q)
+    d = _interference(r, q) + r.scenario.noise_power
     n = r.gain_active.reshape(-1) * q + d
     return n, d, n / d
 
@@ -165,30 +151,31 @@ def solve_maximin_lp(lp: MaximinLP, dim: int | None = None) -> tuple[np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
-    """Boundary point lambda * z with the powers that realize it.
+    """Boundary point max(lambda * z, 1) with the powers that realize it.
 
-    ``lam`` is the largest scale the line search certified realizable and
-    ``lam_upper`` the smallest it certified unrealizable, or ``lam``
-    itself when a cap binds exactly at ``lam`` or ``lam`` reaches the
-    interference-free bound; the boundary lies in [lam, lam_upper] and
+    ``z_proj`` is that point as a flat reduced array. ``lam`` is the
+    largest scale the line search certified realizable and ``lam_upper``
+    the smallest it certified unrealizable, or ``lam`` itself when a cap
+    binds exactly at ``lam`` or ``lam`` reaches the interference-free
+    bound; the boundary lies in [lam, lam_upper] and
     lam_upper <= lam * (1 + 1e-9). ``powers`` realize ``z_proj`` within
-    the carrier caps, ``state`` holds the ratios at those powers and
-    ``lambdas`` the accepted lower ends, strictly increasing.
-    ``iterations`` counts power-system evaluations; the name is kept from
-    the LP iteration this search replaced.
+    the carrier caps and ``lambdas`` are the accepted lower ends, strictly
+    increasing. ``iterations`` counts power-system evaluations; the name
+    is kept from the LP iteration this search replaced.
     """
 
-    z_proj: SinrVector
+    z_proj: np.ndarray
     lam: float
     lam_upper: float
     powers: np.ndarray
     lambdas: tuple[float, ...]
     iterations: int
-    state: FractionalState
 
 
 _LAM_RTOL = 1e-9
 _Q_ATOL = 1e-12  # watts
+# power-system evaluations one projection may take before ProjectionError
+_MAX_EVALUATIONS = 200
 
 
 class _Point(NamedTuple):
@@ -269,49 +256,35 @@ def _closed(lo: _Point, up: _Point | None) -> bool:
     )
 
 
-def dinkelbach_project(
-    r: ReducedProblem,
-    sv: SinrVector,
-    max_outer: int = 200,
-    start=None,
-) -> ProjectionResult:
-    """Scale sv onto the boundary of the realizable set along its ray.
+def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
+    """Scale the flat reduced ray z onto the boundary of the realizable set.
 
-    Returns the scaled vector (entries floored at 1, since a ray scale
-    below a coordinate's zero-power value 1 just means that coordinate
-    gets no power), the final scale lambda, and the powers realizing the
-    output. The name is kept for the public API; the method is a bracketed
-    line search on lambda.
+    z needs one finite entry >= 1 per reduced coordinate. Returns the
+    scaled point (entries floored at 1, since a ray scale below a
+    coordinate's zero-power value 1 just means that coordinate gets no
+    power), the final scale lambda, and the powers realizing the output.
+    The name is kept for the public API; the method is a bracketed line
+    search on lambda.
 
     The bracket starts at lo = min_i ratio_i / z_i at the start powers
     (q = 0 when start is None), realizable because the start is, and at
-    the interference-free bound hi = min_i (1 + g_ii cap_i / N) / z_i.
-    Each step evaluates one scale (see ``_trial``) and moves lo when it is
-    realizable, the upper end otherwise. The search stops when a cap binds
-    exactly at lo, when lo reaches the bound, when the bracket fixes
-    lambda to 1e-9 relative and the powers to 1e-12 W, or when no float
-    is left inside it, and raises ProjectionError when max_outer
-    evaluations do not get there. Start powers must lie within the
-    carrier caps, which is what makes them realizable; a start near the
-    boundary (say the projection of a vertex dominating sv) only saves
-    evaluations.
+    the interference-free bound hi = min_i (1 + g_ii cap_i / N) / z_i; with
+    every cap zero hi equals lo, and the one evaluation at lo ends the
+    search. Each step evaluates one scale (see ``_trial``) and moves lo
+    when it is realizable, the upper end otherwise. The search stops when
+    a cap binds exactly at lo, when lo reaches the bound, when the bracket
+    fixes lambda to 1e-9 relative and the powers to 1e-12 W, or when no
+    float is left inside it, and raises ProjectionError when
+    ``_MAX_EVALUATIONS`` evaluations do not get there. Start powers must
+    lie within the carrier caps, which is what makes them realizable; a
+    start near the boundary (say the projection of a vertex dominating z)
+    only saves evaluations.
     """
-    zc = r.active_values(sv)
-    q = np.zeros(r.dim)
-    if np.all(zc <= 1.0 + 1e-15):
-        n, d, ratios = compute_nd(r, q)
-        state = FractionalState(q=q, n=n, d=d, ratios=ratios, lam=1.0)
-        return ProjectionResult(
-            z_proj=r.vector(np.ones(r.dim)),
-            lam=1.0,
-            lam_upper=1.0,
-            powers=q,
-            lambdas=(1.0,),
-            iterations=0,
-            state=state,
-        )
-
+    zc = np.asarray(z, dtype=float).reshape(-1)
+    if zc.shape[0] != r.dim or not np.all(np.isfinite(zc) & (zc >= 1.0)):
+        raise ValueError(f"need {r.dim} finite ray entries >= 1")
     caps = r.cap_carrier.reshape(-1)
+    q = np.zeros(r.dim)
     if start is not None:
         q = np.asarray(start, dtype=float).reshape(-1)
         if q.shape[0] != r.dim or not np.all((q >= 0.0) & (q <= caps)):
@@ -332,9 +305,9 @@ def dinkelbach_project(
         t = _trial(lo, up, hi, tangent)
         if t is None:
             break
-        if evaluations >= max_outer:
+        if evaluations >= _MAX_EVALUATIONS:
             raise ProjectionError(
-                f"no convergence in {max_outer} evaluations (bracket [{lo.lam!r}, {hi!r}])",
+                f"no convergence in {_MAX_EVALUATIONS} evaluations (bracket [{lo.lam!r}, {hi!r}])",
                 lambdas,
             )
         pt = _evaluate(r, zc, caps, t)
@@ -347,13 +320,11 @@ def dinkelbach_project(
             up, hi = pt, pt.lam
 
     exact = lo.h == 0.0 or lo.lam >= hi
-    n, d, ratios = compute_nd(r, lo.q)
     return ProjectionResult(
-        z_proj=r.vector(lo.z),
+        z_proj=lo.z,
         lam=lo.lam,
         lam_upper=lo.lam if exact else up.lam,
         powers=lo.q,
         lambdas=tuple(lambdas),
         iterations=evaluations,
-        state=FractionalState(q=lo.q, n=n, d=d, ratios=ratios, lam=lo.lam),
     )

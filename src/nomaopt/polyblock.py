@@ -123,16 +123,15 @@ class SolveResult:
         }
 
 
-def initial_vertex(r: ReducedProblem) -> SinrVector:
-    """Box corner ignoring interference.
+def initial_vertex(r: ReducedProblem) -> np.ndarray:
+    """Box corner ignoring interference, as a flat reduced array.
 
     Every realizable point is dominated by it: no coordinate can beat the
     interference-free SINR of its own carrier cap (Scenario validation
     keeps the carrier caps within the cell cap), so a zero-cap carrier
     starts (and stays) at 1.
     """
-    vals = 1.0 + r.gain_active * r.cap_carrier / r.scenario.noise_power
-    return r.vector(vals.reshape(-1))
+    return (1.0 + r.gain_active * r.cap_carrier / r.scenario.noise_power).reshape(-1)
 
 
 def generate_children(parent: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -273,7 +272,7 @@ class _CarrierSearch:
         f_full = float(np.sum(np.log(ratios)))
         if f_full > self.lb:
             self.lb, self.best_c, self.best_q = f_full, ratios, full
-        z0 = initial_vertex(r).active_z
+        z0 = initial_vertex(r)
         self.store = _VertexSet(r.dim)
         self.store.add(z0, float(np.sum(np.log(z0))), full)
         self.ub = self.store.max_value()
@@ -286,13 +285,10 @@ class _CarrierSearch:
         sel_idx, _ = self.store.argmax_lex()
         parent, start = self.store.pop(sel_idx)
 
-        proj = dinkelbach_project(self.r, self.r.vector(parent), start=start)
-        proj_c = proj.z_proj.active_z
-        f_proj = float(np.sum(np.log(proj_c)))
+        proj = dinkelbach_project(self.r, parent, start=start)
+        f_proj = float(np.sum(np.log(proj.z_proj)))
         if f_proj >= self.lb:
-            self.lb = f_proj
-            self.best_c = proj_c.copy()
-            self.best_q = proj.powers.copy()
+            self.lb, self.best_c, self.best_q = f_proj, proj.z_proj, proj.powers
 
         upper = np.maximum(proj.lam_upper * parent, 1.0)
         for child in generate_children(parent, upper):

@@ -482,7 +482,7 @@ def test_a6_reformulation_consistency(capsys):
         caps = r.cap_carrier.reshape(-1)
         boundary = z_from_p(r, caps * rng.uniform(0.05, 1.0, size=r.dim))
         za = r.active_values(boundary)
-        outside = r.vector(1.0 + (za - 1.0) * rng.uniform(1.0, 4.0))
+        outside = 1.0 + (za - 1.0) * rng.uniform(1.0, 4.0)
         proj = dinkelbach_project(r, outside)
         again = dinkelbach_project(r, proj.z_proj)
         if abs(again.lam - 1.0) > 1e-6:

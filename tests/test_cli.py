@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +98,22 @@ def test_solve_end_to_end(tmp_path, capsys):
     msg = capsys.readouterr().out
     assert "status=optimal" in msg
     assert "certified=True" in msg
+
+
+def test_readme_quickstart_matches_solve(tmp_path, monkeypatch, capsys):
+    # run the Quickstart's gen and solve lines as written; the README's
+    # "# -> " line after solve must quote the rates they print
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    gen = next(i for i, line in enumerate(lines) if line.startswith("nomaopt gen "))
+    solve = next(i for i, line in enumerate(lines) if line.startswith("nomaopt solve "))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NOMAOPT_OUT_DIR", raising=False)
+    assert main(shlex.split(lines[gen])[1:]) == EXIT_OK
+    capsys.readouterr()
+    assert main(shlex.split(lines[solve])[1:]) == EXIT_OK
+    rates = re.search(r"sum_rate=\S+ nats \(\S+ bits\)", capsys.readouterr().out).group(0)
+    assert lines[solve + 1].startswith("# -> ")
+    assert rates in lines[solve + 1]
 
 
 def test_solve_missing_scenario(tmp_path, capsys):

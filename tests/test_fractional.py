@@ -10,6 +10,7 @@ must return scale 3/11 and powers (2,).
 import numpy as np
 import pytest
 
+import nomaopt.fractional as F
 from nomaopt.fractional import (
     ProjectionError,
     build_maximin_lp,
@@ -162,42 +163,61 @@ def test_lp_builder_input_checks():
 
 def test_projection_single_cell_closed_form():
     r = reduce_scenario(k1_scenario(gain=1.0, noise=1.0, cap=2.0))
-    res = dinkelbach_project(r, r.vector([11.0]))
+    res = dinkelbach_project(r, [11.0])
     assert res.lam == pytest.approx(3.0 / 11.0, rel=1e-9)
-    assert res.z_proj.active_z == pytest.approx([3.0], rel=1e-9)
+    assert res.z_proj == pytest.approx([3.0], rel=1e-9)
     assert res.powers == pytest.approx([2.0], rel=1e-9)
 
 
 def test_projection_scales_up_interior_points():
     r = reduce_scenario(k1_scenario(gain=1.0, noise=1.0, cap=2.0))
-    res = dinkelbach_project(r, r.vector([2.0]))
+    res = dinkelbach_project(r, [2.0])
     assert res.lam == pytest.approx(1.5, rel=1e-9)
-    assert res.z_proj.active_z == pytest.approx([3.0], rel=1e-9)
+    assert res.z_proj == pytest.approx([3.0], rel=1e-9)
 
 
-def test_projection_all_ones_is_fixed_point():
-    r = reduce_scenario(sym2_scenario())
-    res = dinkelbach_project(r, r.vector([1.0, 1.0]))
-    assert res.lam == 1.0
+def test_projection_scales_up_all_ones_ray():
+    # the all-ones ray is the silent point, strictly inside the set: by
+    # symmetry its boundary point is both cells at cap 2, z = 7/3
+    r = reduce_scenario(sym2_scenario(q_cap=2.0))
+    res = dinkelbach_project(r, [1.0, 1.0])
+    assert res.lam == pytest.approx(7.0 / 3.0, rel=1e-9)
+    assert res.z_proj == pytest.approx([7.0 / 3.0, 7.0 / 3.0], rel=1e-9)
+    assert res.powers == pytest.approx([2.0, 2.0], rel=1e-8)
+
+
+def test_projection_all_ones_ray_with_zero_caps_stays_silent():
+    # every cap zero: the interference-free bound is 1, reached at once
+    r = reduce_scenario(sym2_scenario(q_cap=0.0))
+    res = dinkelbach_project(r, [1.0, 1.0])
+    assert res.lam == res.lam_upper == 1.0
+    assert res.iterations == 1
     assert np.array_equal(res.powers, [0.0, 0.0])
-    assert res.iterations == 0
+    assert np.array_equal(res.z_proj, [1.0, 1.0])
+
+
+def test_projection_rejects_bad_rays():
+    r = reduce_scenario(sym2_scenario())
+    for z in ([2.0], [2.0, 2.0, 2.0], [0.5, 2.0], [1.0 - 1e-12, 2.0], [np.inf, 2.0], [np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            dinkelbach_project(r, z)
 
 
 def test_projection_floors_coordinates_at_one():
     # carrier 1 has no power budget: its coordinate pins at 1
     s = make_scenario([[[1.0, 1.0]]], noise=1.0, subcarrier_cap=[[2.0, 0.0]])
     r = reduce_scenario(s)
-    res = dinkelbach_project(r, r.vector([5.0, 1.0]))
+    res = dinkelbach_project(r, [5.0, 1.0])
     assert res.lam == pytest.approx(3.0 / 5.0, rel=1e-9)
-    assert res.z_proj.active_z == pytest.approx([3.0, 1.0], rel=1e-9)
+    assert res.z_proj == pytest.approx([3.0, 1.0], rel=1e-9)
     assert res.powers == pytest.approx([2.0, 0.0], abs=1e-12)
 
 
 def test_projection_symmetric_two_cell_hand_value():
     # by symmetry both cells transmit at cap 2: z = 1 + 2*2/(2+1) = 7/3
     r = reduce_scenario(sym2_scenario(q_cap=2.0))
-    res = dinkelbach_project(r, r.vector([4.0, 4.0]))
-    assert res.z_proj.active_z == pytest.approx([7.0 / 3.0, 7.0 / 3.0], rel=1e-8)
+    res = dinkelbach_project(r, [4.0, 4.0])
+    assert res.z_proj == pytest.approx([7.0 / 3.0, 7.0 / 3.0], rel=1e-8)
     assert res.powers == pytest.approx([2.0, 2.0], rel=1e-8)
 
 
@@ -207,7 +227,7 @@ def test_projection_lambda_sequence_strictly_increases():
         s = random_scenario(rng, num_cells=2, num_subcarriers=2)
         r = reduce_scenario(s)
         z0 = 1.0 + rng.uniform(0.1, 5.0, size=r.dim)
-        res = dinkelbach_project(r, r.vector(z0))
+        res = dinkelbach_project(r, z0)
         seq = np.array(res.lambdas)
         assert np.all(np.diff(seq) > 0)
         assert res.iterations >= 1
@@ -219,9 +239,9 @@ def test_projection_lands_on_boundary():
         s = random_scenario(rng, num_cells=3, num_subcarriers=1, users_per_cell=2)
         r = reduce_scenario(s)
         z0 = 1.0 + rng.uniform(0.1, 5.0, size=r.dim)
-        res = dinkelbach_project(r, r.vector(z0))
-        assert membership(r, res.z_proj)
-        outside = r.vector(res.z_proj.active_z * (1.0 + 1e-4))
+        res = dinkelbach_project(r, z0)
+        assert membership(r, r.vector(res.z_proj))
+        outside = r.vector(res.z_proj * (1.0 + 1e-4))
         assert not membership(r, outside)
 
 
@@ -231,11 +251,11 @@ def test_projection_powers_realize_output():
         s = random_scenario(rng, num_cells=2, num_subcarriers=2)
         r = reduce_scenario(s)
         z0 = 1.0 + rng.uniform(0.1, 5.0, size=r.dim)
-        res = dinkelbach_project(r, r.vector(z0))
+        res = dinkelbach_project(r, z0)
         achieved = z_from_p(r, res.powers)
-        assert np.allclose(achieved.active_z, res.z_proj.active_z, rtol=1e-9, atol=1e-12)
-        # the recorded inner state dominates the output componentwise
-        assert np.all(res.state.ratios >= res.z_proj.active_z * (1.0 - 1e-9))
+        assert np.allclose(achieved.active_z, res.z_proj, rtol=1e-9, atol=1e-12)
+        # the ratios at the returned powers dominate the output componentwise
+        assert np.all(compute_nd(r, res.powers)[2] >= res.z_proj * (1.0 - 1e-9))
 
 
 def test_projection_idempotent_on_boundary_points():
@@ -244,31 +264,33 @@ def test_projection_idempotent_on_boundary_points():
         s = random_scenario(rng, num_cells=2, num_subcarriers=1)
         r = reduce_scenario(s)
         z0 = 1.0 + rng.uniform(0.5, 4.0, size=r.dim)
-        first = dinkelbach_project(r, r.vector(z0))
-        if np.all(first.z_proj.active_z <= 1.0 + 1e-12):
+        first = dinkelbach_project(r, z0)
+        if np.all(first.z_proj <= 1.0 + 1e-12):
             continue
         second = dinkelbach_project(r, first.z_proj)
         assert second.lam == pytest.approx(1.0, abs=1e-6)
 
 
-def test_projection_budget_error_carries_lambdas():
+def test_projection_budget_error_carries_lambdas(monkeypatch):
     r = reduce_scenario(sym2_scenario())
+    monkeypatch.setattr(F, "_MAX_EVALUATIONS", 1)
     with pytest.raises(ProjectionError) as info:
-        dinkelbach_project(r, r.vector([4.0, 4.0]), max_outer=1)
+        dinkelbach_project(r, [4.0, 4.0])
     assert len(info.value.lambdas) >= 1
 
 
 # beyond 0-99: seeds where the LP projection stopped short of the boundary
-# or left it (637 and 1286 also once hit a singular p_from_z)
+# or left it (637 and 1286 also once hit a singular p_from_z), and 1435,
+# an all-ones ray that an early return once left at scale 1
 _EXTREME_SEEDS = [*range(100), 341, 342, 513, 536, 632, 637, 703, 785, 872, 894, 913, 937,
-                  1016, 1063, 1169, 1286, 1382, 1446, 1501, 1565, 1640, 1907, 1979]
+                  1016, 1063, 1169, 1286, 1382, 1435, 1446, 1501, 1565, 1640, 1907, 1979]
 
 
 @pytest.mark.parametrize("seed", _EXTREME_SEEDS)
 def test_projection_extreme_range_lands_on_boundary(seed):
     r, z0 = extreme_ray(seed)
-    res = dinkelbach_project(r, r.vector(z0))
-    assert membership(r, res.z_proj)
+    res = dinkelbach_project(r, z0)
+    assert membership(r, r.vector(res.z_proj))
     beyond = np.maximum(res.lam * (1.0 + 1e-6) * z0, 1.0)
     if np.any(beyond > 1.0):
         assert not membership(r, r.vector(beyond))
@@ -281,11 +303,11 @@ def test_projection_warm_start_matches_cold_start(seed):
     # the solver starts a child's projection at its parent's boundary powers
     r, z0 = extreme_ray(seed)
     parent = z0 * 10.0 ** np.random.default_rng(seed).uniform(0.0, 1.0, size=r.dim)
-    start = dinkelbach_project(r, r.vector(parent)).powers
-    cold = dinkelbach_project(r, r.vector(z0))
-    warm = dinkelbach_project(r, r.vector(z0), start=start)
+    start = dinkelbach_project(r, parent).powers
+    cold = dinkelbach_project(r, z0)
+    warm = dinkelbach_project(r, z0, start=start)
     assert warm.lam == pytest.approx(cold.lam, rel=1e-8)
-    assert membership(r, warm.z_proj)
+    assert membership(r, r.vector(warm.z_proj))
     assert np.all(np.diff(warm.lambdas) > 0)
     assert np.all(warm.powers <= r.cap_carrier.reshape(-1))
 
@@ -294,7 +316,7 @@ def _upper_scale_is_certified(r, z0, res):
     assert res.lam <= res.lam_upper <= res.lam * (1.0 + 1e-9)
     # the search tests realizability exactly, so no slack: the output is
     # realizable and, unless a cap binds at lam, lam_upper * z0 is not
-    assert membership(r, res.z_proj, tol=0.0)
+    assert membership(r, r.vector(res.z_proj), tol=0.0)
     if res.lam_upper != res.lam:
         assert not membership(r, r.vector(np.maximum(res.lam_upper * z0, 1.0)), tol=0.0)
 
@@ -305,16 +327,16 @@ def test_projection_upper_scale_is_certified():
         s = random_scenario(rng, num_cells=int(rng.integers(1, 5)), num_subcarriers=2)
         r = reduce_scenario(s)
         z0 = 1.0 + rng.uniform(0.1, 5.0, size=r.dim)
-        _upper_scale_is_certified(r, z0, dinkelbach_project(r, r.vector(z0)))
+        _upper_scale_is_certified(r, z0, dinkelbach_project(r, z0))
     for seed in range(100):
         r, z0 = extreme_ray(seed)
-        _upper_scale_is_certified(r, z0, dinkelbach_project(r, r.vector(z0)))
+        _upper_scale_is_certified(r, z0, dinkelbach_project(r, z0))
 
 
 def test_projection_upper_scale_is_lam_when_a_cap_binds():
     # single cell: q is linear in lambda, so the search lands on the cap
     r = reduce_scenario(k1_scenario(gain=1.0, noise=1.0, cap=2.0))
-    res = dinkelbach_project(r, r.vector([11.0]), start=[2.0])
+    res = dinkelbach_project(r, [11.0], start=[2.0])
     assert res.lam_upper == res.lam == 3.0 / 11.0
 
 
@@ -322,8 +344,8 @@ def test_projection_rejects_start_outside_caps():
     r = reduce_scenario(k1_scenario(gain=1.0, noise=1.0, cap=2.0))
     for start in ([2.5], [-1.0], [1.0, 1.0]):
         with pytest.raises(ValueError):
-            dinkelbach_project(r, r.vector([11.0]), start=start)
+            dinkelbach_project(r, [11.0], start=start)
     # a start on the boundary certifies it with one solve
-    res = dinkelbach_project(r, r.vector([11.0]), start=[2.0])
+    res = dinkelbach_project(r, [11.0], start=[2.0])
     assert res.lam == pytest.approx(3.0 / 11.0, rel=1e-12)
     assert res.iterations == 1

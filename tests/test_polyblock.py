@@ -36,18 +36,18 @@ from conftest import k1_scenario, make_scenario, random_scenario, sym2_scenario
 
 def test_initial_vertex_single_cell():
     r = reduce_scenario(k1_scenario(gain=1.0, noise=1.0, cap=2.0))
-    assert np.array_equal(initial_vertex(r).active_z, [3.0])
+    assert np.array_equal(initial_vertex(r), [3.0])
 
 
 def test_initial_vertex_symmetric_two_cell():
     r = reduce_scenario(sym2_scenario(q_cap=2.0))
-    assert np.array_equal(initial_vertex(r).active_z, [5.0, 5.0])
+    assert np.array_equal(initial_vertex(r), [5.0, 5.0])
 
 
 def test_initial_vertex_zero_cap_carrier_pins_at_one():
     s = make_scenario([[[1.0, 1.0]]], noise=1.0, subcarrier_cap=[[2.0, 0.0]])
     r = reduce_scenario(s)
-    assert np.array_equal(initial_vertex(r).active_z, [3.0, 1.0])
+    assert np.array_equal(initial_vertex(r), [3.0, 1.0])
 
 
 def test_initial_vertex_dominates_every_member():
@@ -55,7 +55,7 @@ def test_initial_vertex_dominates_every_member():
     for _ in range(20):
         s = random_scenario(rng, num_cells=2, num_subcarriers=2)
         r = reduce_scenario(s)
-        corner = initial_vertex(r).active_z
+        corner = initial_vertex(r)
         q = rng.uniform(0.0, 1.0, size=r.dim) * r.cap_carrier.reshape(-1)
         from nomaopt.reduction import z_from_p
 

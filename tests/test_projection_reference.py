@@ -10,15 +10,13 @@ import pytest
 from nomaopt.fractional import build_maximin_lp, compute_nd, dinkelbach_project, solve_maximin_lp
 from nomaopt.reduction import reduce_scenario
 
-from conftest import extreme_ray, random_scenario
+from conftest import extreme_ray, random_scenario, sym2_scenario
 
 
 def _dinkelbach_lambda(r, z0, start=None, max_outer=200):
     """Reference: the LP loop, stopped once lam * max(t, 0) * max(d_prev) / N,
     which bounds how far the boundary can still be, is at most
     1e-9 * max(1, lam)."""
-    if np.all(z0 <= 1.0 + 1e-15):
-        return 1.0
     q = np.zeros(r.dim) if start is None else np.asarray(start, dtype=float)
     _, d, ratios = compute_nd(r, q)
     lam = float(np.min(ratios / z0))
@@ -36,10 +34,10 @@ def _dinkelbach_lambda(r, z0, start=None, max_outer=200):
 
 def _agrees(r, z0, parent):
     """Cold start, and a warm start at the projection powers of a dominating ray."""
-    cold = dinkelbach_project(r, r.vector(z0))
+    cold = dinkelbach_project(r, z0)
     assert cold.lam == pytest.approx(_dinkelbach_lambda(r, z0), rel=1e-8)
-    start = dinkelbach_project(r, r.vector(parent)).powers
-    warm = dinkelbach_project(r, r.vector(z0), start=start)
+    start = dinkelbach_project(r, parent).powers
+    warm = dinkelbach_project(r, z0, start=start)
     assert warm.lam == pytest.approx(_dinkelbach_lambda(r, z0, start), rel=1e-8)
 
 
@@ -56,3 +54,10 @@ def test_line_search_matches_dinkelbach_on_random_rays():
 def test_line_search_matches_dinkelbach_on_extreme_rays(seed):
     r, z0 = extreme_ray(seed)
     _agrees(r, z0, z0 * 10.0 ** np.random.default_rng(seed).uniform(0.0, 1.0, size=r.dim))
+
+
+def test_line_search_matches_dinkelbach_on_all_ones_rays():
+    # the silent point lies strictly inside the set; both methods scale it up
+    for r, z0 in (extreme_ray(1435), (reduce_scenario(sym2_scenario()), np.ones(2))):
+        assert np.all(z0 == 1.0)
+        _agrees(r, z0, 2.0 * z0)
