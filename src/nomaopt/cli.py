@@ -252,7 +252,9 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilons", type=_float_list, required=True,
                    help="comma-separated gap targets")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker processes running trials in parallel, at most one per trial "
+                        "and usable CPU; the CSV is identical to a serial run's")
     p.add_argument("--out", required=True, help="sweep CSV output path")
     p.set_defaults(func=cmd_sweep)
 

@@ -21,9 +21,10 @@ per-trial streams spawned as (seed, trial index).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -398,21 +399,39 @@ def _sweep_trial(cfg: RadioConfig, caps, epsilons, trial: int) -> list[SweepReco
     return records
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def power_sweep(cfg: RadioConfig, caps, epsilons, trials: int, threads: int = 1) -> SweepResult:
     """Mean sum rate per (cap, epsilon, algorithm) over seeded trials.
 
     The user drop of a trial is shared across all caps and epsilons, so
     per-trial comparisons across columns are paired.
+
+    ``threads`` caps the number of worker processes that run trials in
+    parallel; the pool gets at most min(threads, trials, usable CPUs) of
+    them, and with one the trials run in this process. Every trial draws
+    from its own (seed, trial) stream and results are collected in trial
+    order, so records and rows are bit-for-bit those of a serial run.
     """
     caps = [float(c) for c in caps]
     epsilons = [float(e) for e in epsilons]
-    if not caps or not epsilons or trials < 1:
-        raise ValueError("need caps, epsilons and at least one trial")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: _sweep_trial(cfg, caps, epsilons, t), range(trials)))
+    if not caps or not epsilons or trials < 1 or threads < 1:
+        raise ValueError("need caps, epsilons, at least one trial and at least one worker")
+    run_trial = functools.partial(_sweep_trial, cfg, caps, epsilons)
+    workers = min(threads, trials, _usable_cpus())
+    if workers > 1:
+        # imported here, so that `import nomaopt` does not pay for them
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(run_trial, range(trials)))
     else:
-        per_trial = [_sweep_trial(cfg, caps, epsilons, t) for t in range(trials)]
+        per_trial = [run_trial(t) for t in range(trials)]
     records = tuple(rec for batch in per_trial for rec in batch)
 
     rows = []
@@ -463,8 +482,8 @@ def _bench_trial(cfg: RadioConfig, epsilons, trial: int) -> list[BenchRecord]:
 def runtime_bench(cfg: RadioConfig, epsilons, trials: int) -> BenchResult:
     """Wall time and iteration statistics per (epsilon, algorithm).
 
-    Trials run one after another: the solves are GIL-bound, so a thread
-    pool would only inflate the per-solve times this reports.
+    Trials run one after another in this process: this reports per-solve
+    wall times, which parallel workers sharing the cores would inflate.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons or trials < 1:

@@ -63,6 +63,10 @@ class InconsistentSinrError(ValueError):
         super().__init__(message)
         self.reason = reason
 
+    def __reduce__(self):
+        # the default rebuilds the error as cls(*self.args), which lacks reason
+        return type(self), (self.args[0], self.reason)
+
 
 @dataclass(frozen=True, eq=False)
 class SinrVector:

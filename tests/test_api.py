@@ -1,9 +1,15 @@
 """The public names the package declares."""
 
 import importlib
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import nomaopt
+from nomaopt.simplex import SimplexError
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +26,33 @@ def test_every_exported_name_resolves():
     ]
     assert not missing
     assert len(nomaopt.__all__) == len(set(nomaopt.__all__))
+
+
+def test_exceptions_pickle_round_trip():
+    # a worker process hands its error to the caller pickled
+    errors = [
+        nomaopt.ProjectionError("no bracket", lambdas=(1.0, 2.5)),
+        nomaopt.InconsistentSinrError("no powers", "singular"),
+        nomaopt.SinrVectorError("bad z"),
+        nomaopt.UnsupportedWeightsError("weights"),
+        nomaopt.ScenarioError("bad scenario"),
+        nomaopt.AllocationError("bad allocation"),
+        SimplexError("unbounded"),
+    ]
+    for err in errors:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert back.args == err.args
+        assert vars(back) == vars(err)
+    assert pickle.loads(pickle.dumps(errors[0])).lambdas == (1.0, 2.5)
+    assert pickle.loads(pickle.dumps(errors[1])).reason == "singular"
+
+
+def test_import_starts_no_process_machinery():
+    src = Path(nomaopt.__file__).resolve().parents[1]
+    probe = ("import nomaopt, sys; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

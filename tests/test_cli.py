@@ -180,6 +180,17 @@ def test_sweep_command(tmp_path, capsys):
     assert "stand-in" in capsys.readouterr().out
 
 
+def test_sweep_threads_write_identical_csv(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"sweep-{threads}.csv")
+        assert main([
+            "sweep", "--set", "users_per_cell=2", "--caps", "1e-7,4e-7", "--epsilons", "0.5",
+            "--trials", "3", "--threads", threads, "--out", str(outs[-1]),
+        ]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_cdf_command(tmp_path, capsys):
     out = tmp_path / "cdf.csv"
     code = main([

@@ -1,11 +1,15 @@
 """Scenario generation, decodability statistics, sweeps and benchmarks."""
 
+import concurrent.futures
 import csv
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from nomaopt import experiments
 from nomaopt.experiments import (
     RadioConfig,
     cdf_experiment,
@@ -20,6 +24,7 @@ from nomaopt.experiments import (
 )
 from nomaopt.model import ScenarioError, sic_pair_margin
 from nomaopt.polyblock import solve
+from nomaopt.reduction import InconsistentSinrError
 
 
 SMALL = RadioConfig(users_per_cell=2, seed=3)
@@ -285,9 +290,66 @@ def test_sweep_certified_beats_baselines_within_epsilon():
 
 
 def test_sweep_threads_match_serial():
-    serial = power_sweep(SMALL, caps=[4e-7], epsilons=[0.5], trials=2, threads=1)
-    threaded = power_sweep(SMALL, caps=[4e-7], epsilons=[0.5], trials=2, threads=2)
-    assert serial.rows == threaded.rows
+    serial = power_sweep(SMALL, caps=[4e-7], epsilons=[0.5], trials=3, threads=1)
+    # 3 trials split unevenly over 2 workers; 4 workers asked for exceed the trials
+    for threads in (2, 4):
+        pooled = power_sweep(SMALL, caps=[4e-7], epsilons=[0.5], trials=3, threads=threads)
+        assert pooled.records == serial.records
+        assert pooled.rows == serial.rows
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Swap ProcessPoolExecutor for an in-process map; return the max_workers asked for."""
+    created = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return created
+
+
+def test_sweep_worker_count_is_capped(inline_pool, monkeypatch):
+    def sweep(trials, threads):
+        return power_sweep(SMALL, caps=[4e-7], epsilons=[0.5], trials=trials, threads=threads)
+
+    ref = sweep(3, 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert sweep(3, 64).records == ref.records
+    assert inline_pool == ([min(3, usable)] if usable > 1 else [])
+    for cpus in (2, 8):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        inline_pool.clear()
+        assert sweep(3, 64).records == ref.records
+        assert inline_pool == [min(3, cpus)]
+        # one worker runs in this process, without a pool
+        sweep(3, 1)
+        sweep(1, 64)
+        assert inline_pool == [min(3, cpus)]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched solve")
+def test_sweep_worker_error_reaches_caller(monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise InconsistentSinrError("x", "singular")
+
+    monkeypatch.setattr(experiments, "solve", failing_solve)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    with pytest.raises(InconsistentSinrError) as info:
+        power_sweep(SMALL, caps=[4e-7], epsilons=[0.5], trials=2, threads=2)
+    assert info.value.reason == "singular"
 
 
 def test_sweep_input_validation():
@@ -295,6 +357,9 @@ def test_sweep_input_validation():
         power_sweep(SMALL, caps=[], epsilons=[0.5], trials=1)
     with pytest.raises(ValueError):
         power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=0)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=1, threads=threads)
 
 
 # -- runtime bench ------------------------------------------------------------------
