@@ -286,7 +286,11 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
     interferer at its most harmful power within the cap) is non-negative,
     the operative decodability condition at the configured budget.
     Positions are drawn in bulk for all drops at once from the config
-    seed.
+    seed. The study works on whole (drop, user pair, sub-carrier) arrays,
+    one (cell, interferer) pair at a time. Without fading every carrier
+    sees the same gains, so one carrier's values are sorted and each is
+    repeated once per carrier, and its counts are scaled by the carrier
+    count.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -294,15 +298,22 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
     K, M, L = cfg.num_cells, cfg.users_per_cell, cfg.num_subcarriers
     if K < 2:
         raise ScenarioError("the decodability statistic needs at least two cells")
+    if M < 2:
+        raise ScenarioError("the decodability statistic needs at least two users per cell")
     bs = _bs_positions(cfg)
     users = np.empty((samples, K, M, 2))
     for k in range(K):
         users[:, k] = (bs[k] + _sample_hexagon(rng, samples * M, cfg.cell_radius_m)).reshape(
             samples, M, 2
         )
-    # gains[s, j, k, u]: BS j to user u of cell k
-    d = np.linalg.norm(users[:, None, :, :, :] - bs[None, :, None, None, :], axis=4)
+    # d[s, j, k, u]: BS j to user u of cell k
+    dx = users[:, None, :, :, 0] - bs[None, :, None, None, 0]
+    dy = users[:, None, :, :, 1] - bs[None, :, None, None, 1]
+    del users
+    d = np.sqrt(dx * dx + dy * dy)
+    del dx, dy
     base = _gain_from_distance(cfg, d)
+    del d
     if cfg.fading:
         g = base[..., None] * rng.exponential(1.0, size=base.shape + (L,))
     else:
@@ -310,40 +321,37 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
 
     cap = cfg.subcarrier_cap_w
     noise = cfg.noise_power_w
+    u, v = np.triu_indices(M, 1)
     chunks = []
     margin_chunks = []
-    n_l = L if cfg.fading else 1
     for k in range(K):
-        own = g[:, k, k, :, :]
-        for u in range(M):
-            for v in range(u + 1, M):
-                ou, ov = own[:, u, :], own[:, v, :]
-                u_weak = ou <= ov  # ties keep the lower index as weak
-                weak_own = np.where(u_weak, ou, ov)
-                strong_own = np.where(u_weak, ov, ou)
-                worst = (strong_own - weak_own) * noise
-                for j in range(K):
-                    if j == k:
-                        continue
-                    cu, cv = g[:, j, k, u, :], g[:, j, k, v, :]
-                    weak_cross = np.where(u_weak, cu, cv)
-                    strong_cross = np.where(u_weak, cv, cu)
-                    stat = strong_own * weak_cross - weak_own * strong_cross
-                    chunks.append(stat[:, :n_l].reshape(-1))
-                    worst = worst + np.minimum(stat, 0.0) * cap
-                margin_chunks.append(worst[:, :n_l].reshape(-1))
-    pooled = np.concatenate(chunks)
+        ou, ov = g[:, k, k, u, :], g[:, k, k, v, :]
+        u_weak = ou <= ov  # ties keep the lower index as weak
+        weak_own = np.where(u_weak, ou, ov)
+        strong_own = np.where(u_weak, ov, ou)
+        worst = (strong_own - weak_own) * noise
+        for j in range(K):
+            if j == k:
+                continue
+            cu, cv = g[:, j, k, u, :], g[:, j, k, v, :]
+            weak_cross = np.where(u_weak, cu, cv)
+            strong_cross = np.where(u_weak, cv, cu)
+            stat = strong_own * weak_cross - weak_own * strong_cross
+            chunks.append(stat.reshape(-1))
+            worst = worst + np.minimum(stat, 0.0) * cap
+        margin_chunks.append(worst.reshape(-1))
+    # without fading the arrays hold one carrier, which stands for all L
+    reps = 1 if cfg.fading else L
+    values = np.sort(np.concatenate(chunks))
+    nonneg = int(np.count_nonzero(values >= 0.0)) * reps
     margins = np.concatenate(margin_chunks)
-    if not cfg.fading and L > 1:
-        pooled = np.tile(pooled, L)
-        margins = np.tile(margins, L)
-    values = np.sort(pooled)
+    m_nonneg = int(np.count_nonzero(margins >= 0.0)) * reps
+    if reps > 1:
+        values = np.repeat(values, reps)
     m = values.shape[0]
+    mm = margins.shape[0] * reps
     cdf = np.arange(1, m + 1) / m
-    nonneg = int(np.count_nonzero(values >= 0.0))
     lo, hi = wilson_interval(nonneg, m)
-    mm = margins.shape[0]
-    m_nonneg = int(np.count_nonzero(margins >= 0.0))
     mlo, mhi = wilson_interval(m_nonneg, mm)
     return CdfResult(
         values=values,

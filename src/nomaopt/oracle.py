@@ -4,7 +4,9 @@ The grid optimizer exhaustively evaluates the reduced problem on a
 Cartesian power grid and reports a numerically estimated Lipschitz bound
 on how far the continuous optimum can sit above the best grid point. It
 exists to sandwich the solver from below at desk scale, so it shares no
-code path with the solver beyond the problem definition itself.
+code path with the solver beyond the problem definition itself. The grid
+is evaluated in C-order slabs by broadcasting its 1-D axes, each rate
+term on its own carrier's sub-grid; ties go to the lowest flat index.
 
 The two baselines are declared stand-ins for an external reference
 heuristic whose algorithm is not public: full power on every carrier, and
@@ -54,19 +56,21 @@ class GridOptimum:
     evaluated: int
 
 
-def _batch_sum_rate(r: ReducedProblem, Q: np.ndarray) -> np.ndarray:
-    """Sum rate of each row of Q (rows are flat reduced power vectors)."""
-    K, L = r.gain_active.shape
-    N = r.scenario.noise_power
-    total = np.zeros(Q.shape[0])
-    for i in range(r.dim):
-        k, l = divmod(i, L)
-        inter = np.zeros(Q.shape[0])
-        for j in range(K):
-            if j != k:
-                inter += r.gain_cross[k, l, j] * Q[:, j * L + l]
-        total += np.log1p(r.gain_active[k, l] * Q[:, i] / (inter + N))
-    return total
+def _slabs(shape: tuple[int, ...]):
+    """Per-axis slices cutting the grid into C-order slabs of at most _CHUNK points.
+
+    The cut axis is the first one whose trailing axes hold at most _CHUNK
+    points; the axes before it take one index at a time, so an axis of
+    length 1 (a zero cap) never lifts the bound.
+    """
+    a = 0
+    while math.prod(shape[a + 1 :]) > _CHUNK:
+        a += 1
+    rows = _CHUNK // math.prod(shape[a + 1 :])
+    tail = [slice(None)] * (len(shape) - a - 1)
+    for outer in np.ndindex(*shape[:a]):
+        for lo in range(0, shape[a], rows):
+            yield [slice(i, i + 1) for i in outer] + [slice(lo, lo + rows)] + tail
 
 
 def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
@@ -75,13 +79,22 @@ def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
     Only meant for desk-scale instances; the dimension (cells times
     sub-carriers) is capped at 4. Every grid point is within the cell
     caps, since Scenario validation keeps the carrier caps within them.
-    Ties go to the lowest flat grid index.
+
+    The grid is walked in C-order slabs of at most _CHUNK points, and each
+    slab is evaluated by broadcasting its 1-D axes. Carriers do not
+    interact in the reduced problem, so the rate term of coordinate
+    (k, l) is computed on carrier l's sub-grid alone (its own power and
+    its same-carrier interferers) and only the sum spans the slab. Ties go
+    to the lowest flat grid index: the first maximum within a slab, and a
+    later slab only on a strictly greater value.
     """
     if grid_points_per_dim < 2:
         raise ValueError("need at least 2 grid points per dimension")
     r = reduce_scenario(s)
     if r.dim > 4:
         raise ValueError(f"grid oracle supports at most 4 power coordinates, got {r.dim}")
+    K, L = r.gain_active.shape
+    N = r.scenario.noise_power
     caps = r.cap_carrier.reshape(-1)
     axes = []
     for j in range(r.dim):
@@ -90,19 +103,25 @@ def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
         else:
             axes.append(np.zeros(1))
     shape = tuple(len(ax) for ax in axes)
-    total = int(np.prod(shape))
+    # axis j of the grid, shaped to broadcast along grid axis j only
+    along = [tuple(-1 if a == j else 1 for a in range(r.dim)) for j in range(r.dim)]
 
     best_val = -np.inf
     best_q = np.zeros(r.dim)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        multi = np.unravel_index(idx, shape)
-        Q = np.stack([axes[j][multi[j]] for j in range(r.dim)], axis=1)
-        vals = _batch_sum_rate(r, Q)
-        pos = int(np.argmax(vals))
-        if vals[pos] > best_val:
-            best_val = float(vals[pos])
-            best_q = Q[pos].copy()
+    for slices in _slabs(shape):
+        q = [ax[sl].reshape(shp) for ax, sl, shp in zip(axes, slices, along)]
+        total = np.zeros(tuple(x.size for x in q))
+        for i in range(r.dim):
+            k, l = divmod(i, L)
+            inter = 0.0
+            for j in range(K):
+                if j != k:
+                    inter = inter + r.gain_cross[k, l, j] * q[j * L + l]
+            total += np.log1p(r.gain_active[k, l] * q[i] / (inter + N))
+        pos = int(np.argmax(total))
+        if total.flat[pos] > best_val:
+            best_val = float(total.flat[pos])
+            best_q = np.array([np.broadcast_to(x, total.shape).flat[pos] for x in q])
 
     spacing = np.array(
         [caps[j] / (len(axes[j]) - 1) if len(axes[j]) > 1 else 0.0 for j in range(r.dim)]
@@ -116,7 +135,7 @@ def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
         lipschitz=lip,
         covering_radius=radius,
         spacing=spacing,
-        evaluated=total,
+        evaluated=math.prod(shape),
     )
 
 

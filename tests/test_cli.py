@@ -206,6 +206,15 @@ def test_cdf_command(tmp_path, capsys):
     assert "P(margin >= 0" in msg
 
 
+def test_cdf_one_user_per_cell_is_invalid(tmp_path, capsys):
+    out = tmp_path / "cdf.csv"
+    code = main(["cdf", "--set", "users_per_cell=1", "--samples", "20", "--out", str(out)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "nomaopt cdf: error: the decodability statistic needs at least two users per cell" in err
+    assert not out.exists()
+
+
 def test_bench_command(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main([

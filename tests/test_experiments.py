@@ -214,6 +214,8 @@ def test_cdf_bit_exact_repeatable():
 def test_cdf_input_validation():
     with pytest.raises(ScenarioError):
         cdf_experiment(RadioConfig(num_cells=1), samples=10)
+    with pytest.raises(ScenarioError, match="at least two users per cell"):
+        cdf_experiment(RadioConfig(users_per_cell=1), samples=10)
     with pytest.raises(ValueError):
         cdf_experiment(SMALL, samples=0)
 
