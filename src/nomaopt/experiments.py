@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Scenario, ScenarioError
+from .model import LN2, Scenario, ScenarioError, _integer, _real
 from .oracle import baseline_full_power, baseline_greedy
 from .polyblock import solve
 
@@ -70,6 +70,8 @@ _CONFIG_KEYS = {
     "fading",
     "seed",
 }
+_INT_FIELDS = ("num_cells", "users_per_cell", "num_subcarriers", "sic_limit", "seed")
+_REAL_FIELDS = sorted(_CONFIG_KEYS - set(_INT_FIELDS) - {"fading"})
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,13 @@ class RadioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not isinstance(self.fading, bool):
+            raise ScenarioError(f"fading must be true or false, got {self.fading!r}")
+        for name in _REAL_FIELDS:
+            if not (name == "cell_cap_w" and self.cell_cap_w is None):
+                _real(getattr(self, name), name)
         if self.num_cells < 1 or self.users_per_cell < 1 or self.num_subcarriers < 1:
             raise ScenarioError("cell, user and sub-carrier counts must be positive")
         if self.sic_limit < 1:
@@ -430,6 +439,8 @@ def power_sweep(cfg: RadioConfig, caps, epsilons, trials: int, threads: int = 1)
     epsilons = [float(e) for e in epsilons]
     if not caps or not epsilons or trials < 1 or threads < 1:
         raise ValueError("need caps, epsilons, at least one trial and at least one worker")
+    if len(set(caps)) < len(caps) or len(set(epsilons)) < len(epsilons):
+        raise ValueError("caps and epsilons must not repeat a value: each names its own rows")
     run_trial = functools.partial(_sweep_trial, cfg, caps, epsilons)
     workers = min(threads, trials, _usable_cpus())
     if workers > 1:
@@ -448,7 +459,7 @@ def power_sweep(cfg: RadioConfig, caps, epsilons, trials: int, threads: int = 1)
             for algo in ("polyblock", "full-power", "greedy"):
                 vals = [r.sum_rate_nats for r in records if r.cap_w == cap and r.epsilon == eps and r.algo == algo]
                 mean = float(np.mean(vals))
-                rows.append(SweepRow(cap, eps, algo, mean, mean / math.log(2.0), len(vals)))
+                rows.append(SweepRow(cap, eps, algo, mean, mean / LN2, len(vals)))
     return SweepResult(records=records, rows=tuple(rows))
 
 
@@ -496,6 +507,8 @@ def runtime_bench(cfg: RadioConfig, epsilons, trials: int) -> BenchResult:
     epsilons = [float(e) for e in epsilons]
     if not epsilons or trials < 1:
         raise ValueError("need epsilons and at least one trial")
+    if len(set(epsilons)) < len(epsilons):
+        raise ValueError("epsilons must not repeat a value: each names its own rows")
     records = tuple(rec for t in range(trials) for rec in _bench_trial(cfg, epsilons, t))
 
     rows = []

@@ -58,6 +58,29 @@ class AllocationError(ValueError):
     """Allocation vectors are structurally malformed."""
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; bools, strings and non-integral numbers raise ScenarioError."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if integral and not isinstance(value, bool):
+        return int(value)
+    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """value as a float; bools, strings, other non-numbers and inf or NaN raise ScenarioError."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if number and math.isfinite(value):
+        return float(value)
+    raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """A float copy of values; entries that are not numbers raise ScenarioError."""
+    if np.asarray(values).dtype.kind not in "iuf":
+        raise ScenarioError(f"{name} must hold numbers only")
+    return np.array(values, dtype=float, copy=True)
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -95,34 +118,34 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        K = int(self.num_cells)
-        L = int(self.num_subcarriers)
+        K = _integer(self.num_cells, "num_cells")
+        L = _integer(self.num_subcarriers, "num_subcarriers")
         if K < 1 or L < 1:
             raise ScenarioError("need at least one cell and one sub-carrier")
         try:
-            users = tuple(int(m) for m in self.users_per_cell)
+            users = tuple(_integer(m, "users_per_cell") for m in self.users_per_cell)
         except TypeError:
             raise ScenarioError("users_per_cell must be a sequence of integers") from None
         if len(users) != K or any(m < 1 for m in users):
             raise ScenarioError("users_per_cell must list one positive count per cell")
-        sic = int(self.sic_limit)
+        sic = _integer(self.sic_limit, "sic_limit")
         if sic < 1:
             raise ScenarioError("sic_limit must be a positive integer")
         U = sum(users)
-        gains = np.array(self.gains, dtype=float, copy=True)
+        gains = _real_array(self.gains, "gains")
         if gains.shape != (K, U, L):
             raise ScenarioError(
                 f"gains must have shape (cells, total users, sub-carriers) = {(K, U, L)}, got {gains.shape}"
             )
         if not np.all(np.isfinite(gains)) or np.any(gains <= 0.0):
             raise ScenarioError("gains must be strictly positive and finite")
-        noise = float(self.noise_power)
-        if not math.isfinite(noise) or noise <= 0.0:
+        noise = _real(self.noise_power, "noise_power")
+        if noise <= 0.0:
             raise ScenarioError("noise_power must be positive and finite")
-        sc_cap = np.array(self.subcarrier_cap, dtype=float, copy=True)
+        sc_cap = _real_array(self.subcarrier_cap, "subcarrier_cap")
         if sc_cap.shape != (K, L) or not np.all(np.isfinite(sc_cap)) or np.any(sc_cap < 0):
             raise ScenarioError("subcarrier_cap must be a (K, L) array of non-negative watts")
-        cell_cap = np.array(self.cell_cap, dtype=float, copy=True)
+        cell_cap = _real_array(self.cell_cap, "cell_cap")
         if cell_cap.shape != (K,) or not np.all(np.isfinite(cell_cap)) or np.any(cell_cap < 0):
             raise ScenarioError("cell_cap must be a (K,) array of non-negative watts")
         sums = sc_cap.sum(axis=1)
@@ -138,7 +161,7 @@ class Scenario:
         else:
             if isinstance(w, (list, tuple)) and len(w) == K and isinstance(w[0], (list, tuple)):
                 w = [x for cell in w for x in cell]
-            w = np.array(w, dtype=float, copy=True)
+            w = _real_array(w, "weights")
         if w.shape != (U,) or not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ScenarioError("weights must be one finite non-negative value per user")
 
@@ -254,7 +277,7 @@ class Scenario:
         return cls(
             num_cells=data["num_cells"],
             num_subcarriers=data["num_subcarriers"],
-            users_per_cell=tuple(data["users_per_cell"]),
+            users_per_cell=data["users_per_cell"],
             sic_limit=data["sic_limit"],
             gains=data["gains"],
             noise_power=data["noise_power"],

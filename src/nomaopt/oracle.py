@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, build_decoding_order, check_feasible, sic_always_feasible, sum_rate
+from .model import LN2, Scenario, build_decoding_order, check_feasible, sic_always_feasible, sum_rate
 from .polyblock import SolveResult
 from .reduction import (
     ReducedProblem,
@@ -187,7 +187,7 @@ def _heuristic_result(
         allocation=alloc,
         z=z_from_p(r, q),
         sum_rate_nats=nats,
-        sum_rate_bits=nats / math.log(2.0),
+        sum_rate_bits=nats / LN2,
         epsilon=None,
         iterations=iterations,
         projections=0,

@@ -38,6 +38,7 @@ import numpy as np
 
 from .fractional import compute_nd, dinkelbach_project
 from .model import (
+    LN2,
     Allocation,
     FeasibilityReport,
     Scenario,
@@ -48,7 +49,6 @@ from .model import (
 )
 from .reduction import (
     ReducedProblem,
-    SinrVector,
     allocation_from_powers,
     reduce_scenario,
 )
@@ -82,12 +82,14 @@ class SolveResult:
     system model, not read off the internal objective. ``upper_bound`` is a
     valid bound on the global optimum whenever present; ``certified`` is
     true when upper_bound - sum_rate_nats <= epsilon was established.
-    ``status`` is "optimal", "budget_exceeded", or "heuristic".
+    ``status`` is "optimal", "budget_exceeded", or "heuristic". ``z`` is
+    the read-only flat reduced array of shifted SINRs; ``to_json_dict``
+    alone expands it to canonical length, zero off the served entries.
     """
 
     algorithm: str
     allocation: Allocation
-    z: SinrVector
+    z: np.ndarray
     sum_rate_nats: float
     sum_rate_bits: float
     epsilon: float | None
@@ -101,13 +103,21 @@ class SolveResult:
     feasibility: FeasibilityReport
     trace: tuple[TraceRow, ...]
 
+    def __post_init__(self):
+        z = np.array(self.z, dtype=float)
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z)
+
     def to_json_dict(self) -> dict:
+        active = np.flatnonzero(self.allocation.a)
+        z = np.zeros(self.allocation.size)
+        z[active] = self.z
         return {
             "algorithm": self.algorithm,
             "a": self.allocation.a.tolist(),
             "p": self.allocation.p.tolist(),
-            "z": self.z.z.tolist(),
-            "active": list(self.z.active),
+            "z": z.tolist(),
+            "active": active.tolist(),
             "sum_rate_nats": self.sum_rate_nats,
             "sum_rate_bits": self.sum_rate_bits,
             "epsilon": self.epsilon,
@@ -365,9 +375,9 @@ def solve(
     return SolveResult(
         algorithm="polyblock",
         allocation=alloc,
-        z=r.vector(zc.reshape(-1)),
+        z=zc.reshape(-1),
         sum_rate_nats=nats,
-        sum_rate_bits=nats / math.log(2.0),
+        sum_rate_bits=nats / LN2,
         epsilon=float(epsilon),
         iterations=iterations,
         projections=iterations,

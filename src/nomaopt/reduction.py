@@ -10,7 +10,9 @@ provides the z <-> q conversions, the objective and the feasible-set
 membership test the solver is written against.
 
 Reduced vectors (powers q, shifted SINRs z) are flat arrays of length
-num_cells * num_subcarriers indexed by k * L + l.
+num_cells * num_subcarriers indexed by k * L + l, the only form of z.
+Functions taking z check it where it arrives: one finite entry >= 1 per
+coordinate, entries within 1e-9 below 1 (zero-power round-off) read as 1.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import numpy as np
 from .model import Allocation, Scenario
 
 __all__ = [
-    "SinrVector",
-    "SinrVectorError",
     "ReducedProblem",
     "UnsupportedWeightsError",
     "InconsistentSinrError",
@@ -39,12 +39,8 @@ __all__ = [
     "allocation_from_powers",
 ]
 
-# snap tolerance for active z entries a hair below their lower bound of 1
+# snap tolerance for z entries a hair below their lower bound of 1
 _Z_SNAP = 1e-9
-
-
-class SinrVectorError(ValueError):
-    """SINR vector data violates a structural invariant."""
 
 
 class UnsupportedWeightsError(ValueError):
@@ -66,48 +62,6 @@ class InconsistentSinrError(ValueError):
     def __reduce__(self):
         # the default rebuilds the error as cls(*self.args), which lacks reason
         return type(self), (self.args[0], self.reason)
-
-
-@dataclass(frozen=True, eq=False)
-class SinrVector:
-    """Shifted-SINR vector in canonical order.
-
-    ``z[i] = 1 + SINR`` on active entries (so z >= 1 always, with z = 1
-    meaning zero power) and exactly 0 on inactive entries. Active entries
-    within ``_Z_SNAP`` below 1 are snapped to 1; further below is an error.
-    """
-
-    z: np.ndarray
-    active: tuple[int, ...]
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=float, copy=True)
-        if z.ndim != 1:
-            raise SinrVectorError("z must be a 1-D vector")
-        active = tuple(int(i) for i in self.active)
-        if sorted(set(active)) != list(active):
-            raise SinrVectorError("active indices must be sorted and unique")
-        if active and not (0 <= active[0] and active[-1] < z.shape[0]):
-            raise SinrVectorError("active index out of range")
-        mask = np.zeros(z.shape[0], dtype=bool)
-        mask[list(active)] = True
-        if np.any(z[~mask] != 0.0):
-            raise SinrVectorError("inactive entries must be exactly 0")
-        zact = z[mask]
-        if not np.all(np.isfinite(zact)):
-            raise SinrVectorError("active entries must be finite")
-        if np.any(zact < 1.0 - _Z_SNAP):
-            raise SinrVectorError(f"active entries must be >= 1, worst {zact.min()!r}")
-        z[mask] = np.maximum(zact, 1.0)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "_active_z", z[mask].copy())
-
-    @property
-    def active_z(self) -> np.ndarray:
-        """Values of the active entries, in ascending canonical order."""
-        return self._active_z
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,21 +95,6 @@ class ReducedProblem:
         scale = 1.0 / self.gain_active.T
         cross = np.ascontiguousarray(np.transpose(self.gain_cross, (1, 0, 2))) * scale[:, :, None]
         return scale, cross
-
-    def vector(self, values) -> SinrVector:
-        """Wrap flat reduced values (length K*L) as a full SinrVector."""
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if values.shape[0] != self.dim:
-            raise SinrVectorError(f"expected {self.dim} reduced entries, got {values.shape[0]}")
-        z = np.zeros(self.scenario.size)
-        z[list(self.active)] = values
-        return SinrVector(z=z, active=self.active)
-
-    def active_values(self, sv: SinrVector) -> np.ndarray:
-        """Flat reduced values (length K*L) of a SinrVector of this problem."""
-        if sv.active != self.active or sv.z.shape[0] != self.scenario.size:
-            raise SinrVectorError("SINR vector does not belong to this reduced problem")
-        return sv.active_z.copy()
 
 
 def reduce_scenario(s: Scenario) -> ReducedProblem:
@@ -218,22 +157,35 @@ def _as_powers(r: ReducedProblem, q) -> np.ndarray:
     return q
 
 
-def z_from_p(r: ReducedProblem, q) -> SinrVector:
-    """Shifted SINRs achieved by reduced powers q (flat, watts)."""
+def _as_sinrs(z, dim: int | None = None) -> np.ndarray:
+    """Checked flat shifted SINRs: ``dim`` entries when given, all finite
+    and >= 1, those within ``_Z_SNAP`` below 1 snapped to 1."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if dim is not None and z.shape[0] != dim:
+        raise ValueError(f"expected {dim} shifted SINRs, got {z.shape[0]}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("shifted SINRs must be finite")
+    if np.any(z < 1.0 - _Z_SNAP):
+        raise ValueError(f"shifted SINRs must be >= 1, worst {z.min()!r}")
+    return np.maximum(z, 1.0)
+
+
+def z_from_p(r: ReducedProblem, q) -> np.ndarray:
+    """Shifted SINRs achieved by reduced powers q (flat, watts), flat (K*L,)."""
     q = _as_powers(r, q)
     den = _interference(r, q) + r.scenario.noise_power
-    values = 1.0 + r.gain_active.reshape(-1) * q / den
-    return r.vector(values)
+    return 1.0 + r.gain_active.reshape(-1) * q / den
 
 
-def p_from_z(r: ReducedProblem, sv: SinrVector) -> np.ndarray:
-    """Unique reduced powers realizing the shifted SINRs, flat (K*L,) watts.
+def p_from_z(r: ReducedProblem, z) -> np.ndarray:
+    """Unique reduced powers realizing the flat shifted SINRs z, flat (K*L,) watts.
 
-    Entries with z = 1 take zero power; the rest is ``solve_power_system``
-    at SINRs z - 1, which raises InconsistentSinrError("singular") or
+    z is checked as the module docstring says. Entries
+    with z = 1 take zero power; the rest is ``solve_power_system`` at
+    SINRs z - 1, which raises InconsistentSinrError("singular") or
     InconsistentSinrError("negative") when no such powers exist.
     """
-    return solve_power_system(r, r.active_values(sv) - 1.0)[0]
+    return solve_power_system(r, _as_sinrs(z, r.dim) - 1.0)[0]
 
 
 def solve_power_system(r: ReducedProblem, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -298,36 +250,31 @@ def _solve_carriers(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def objective(sv: SinrVector, weights=None) -> float:
-    """Monotone objective: sum of w_i * log z_i over active entries, nats.
+def objective(z, weights=None) -> float:
+    """Monotone objective: sum of w_i * log z_i over flat shifted SINRs z, nats.
 
-    Inactive entries contribute nothing. With the default unit weights this
-    equals the sum rate of the corresponding allocation.
+    z is checked as in ``p_from_z``, against the length of weights when
+    given. With the default unit weights this equals the sum rate of the
+    powers realizing z.
     """
-    zact = sv.active_z
-    if np.any(zact < 1.0):
-        raise ValueError("active entries must be >= 1")
-    logs = np.log(zact)
     if weights is None:
-        return float(np.sum(logs))
+        return float(np.sum(np.log(_as_sinrs(z))))
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != zact.shape[0]:
-        raise ValueError("need one weight per active entry")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
-    return float(w @ logs)
+    return float(w @ np.log(_as_sinrs(z, w.shape[0])))
 
 
-def membership(r: ReducedProblem, sv: SinrVector, tol: float = 1e-9) -> bool:
-    """True when sv is realizable within the power caps.
+def membership(r: ReducedProblem, z, tol: float = 1e-9) -> bool:
+    """True when the flat shifted SINRs z are realizable within the power caps.
 
-    Realizable means p_from_z succeeds and the powers respect the
-    per-carrier caps, with relative slack tol for round-off. Scenario
-    validation keeps the carrier caps within each cell cap, so the cell
-    caps hold as well.
+    z is checked as in ``p_from_z``. Realizable means p_from_z succeeds
+    and the powers respect the per-carrier caps, with relative slack tol
+    for round-off. Scenario validation keeps the carrier caps within each
+    cell cap, so the cell caps hold as well.
     """
     try:
-        q = p_from_z(r, sv)
+        q = p_from_z(r, z)
     except InconsistentSinrError:
         return False
     slack = tol * r.scenario.noise_power

@@ -33,7 +33,6 @@ def test_exceptions_pickle_round_trip():
     errors = [
         nomaopt.ProjectionError("no bracket", lambdas=(1.0, 2.5)),
         nomaopt.InconsistentSinrError("no powers", "singular"),
-        nomaopt.SinrVectorError("bad z"),
         nomaopt.UnsupportedWeightsError("weights"),
         nomaopt.ScenarioError("bad scenario"),
         nomaopt.AllocationError("bad allocation"),

@@ -70,7 +70,36 @@ def test_gen_rejects_unknown_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override", ["num_cells=2.5", 'num_subcarriers="2"', 'seed="abc"', 'fading="no"', "sic_limit=1.5"]
+)
+def test_gen_rejects_mistyped_override(tmp_path, capsys, override):
+    out = tmp_path / "s.json"
+    code = main(["gen", "--set", override, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- solve ----------------------------------------------------------------------
+
+
+def test_formats_result_example_matches_solve(tmp_path):
+    # the worked result example in FORMATS.md, rerun: every key but wall_time_s
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text()
+    m = re.search(
+        r"`gen --set users_per_cell=2 --seed 5`, then\n`solve --epsilon 0.01`\):\n\n```json\n(.*?)```",
+        text,
+        re.S,
+    )
+    documented = json.loads(m.group(1))
+    scen, out = tmp_path / "scenario.json", tmp_path / "result.json"
+    assert main(["gen", "--set", "users_per_cell=2", "--seed", "5", "--out", str(scen)]) == EXIT_OK
+    assert main(["solve", "--scenario", str(scen), "--epsilon", "0.01", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert set(documented) == set(doc)
+    for key in sorted(set(doc) - {"wall_time_s"}):
+        assert doc[key] == documented[key], key
 
 
 def test_solve_end_to_end(tmp_path, capsys):

@@ -58,6 +58,36 @@ def test_radio_config_validation():
         RadioConfig(sic_limit=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_cells", 2.5),
+        ("num_cells", True),
+        ("num_subcarriers", "2"),
+        ("users_per_cell", None),
+        ("sic_limit", 1.5),
+        ("seed", "abc"),
+        ("seed", float("inf")),
+        ("fading", "no"),
+        ("fading", 1),
+        ("cell_radius_m", "100"),
+        ("subcarrier_cap_w", True),
+        ("cell_cap_w", "1e-6"),
+        ("noise_density_dbm_hz", float("nan")),
+        ("pathloss_slope_db", None),
+    ],
+)
+def test_radio_config_rejects_mistyped_fields(field, value):
+    with pytest.raises(ScenarioError, match=field):
+        RadioConfig(**{field: value})
+
+
+def test_radio_config_takes_integral_counts_as_int():
+    cfg = RadioConfig(num_cells=np.int64(3), users_per_cell=2.0, seed=np.uint8(4))
+    assert (cfg.num_cells, cfg.users_per_cell, cfg.seed) == (3, 2, 4)
+    assert all(type(v) is int for v in (cfg.num_cells, cfg.users_per_cell, cfg.seed))
+
+
 def test_radio_config_json_round_trip():
     cfg = RadioConfig(num_cells=3, fading=True, seed=9)
     back = RadioConfig.from_json_dict(cfg.to_json_dict())
@@ -364,6 +394,14 @@ def test_sweep_input_validation():
             power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=1, threads=threads)
 
 
+def test_sweep_rejects_repeated_values():
+    # a repeat would write its rows twice, each counting both copies' trials
+    with pytest.raises(ValueError, match="caps"):
+        power_sweep(SMALL, caps=[1e-5, 1e-5], epsilons=[0.5], trials=2)
+    with pytest.raises(ValueError, match="epsilons"):
+        power_sweep(SMALL, caps=[1e-5], epsilons=[0.5, 1.0, 0.5], trials=2)
+
+
 # -- runtime bench ------------------------------------------------------------------
 
 
@@ -387,6 +425,11 @@ def test_bench_input_validation():
         runtime_bench(SMALL, epsilons=[], trials=1)
     with pytest.raises(ValueError):
         runtime_bench(SMALL, epsilons=[0.5], trials=0)
+
+
+def test_bench_rejects_repeated_epsilons():
+    with pytest.raises(ValueError, match="epsilons"):
+        runtime_bench(SMALL, epsilons=[0.5, 0.5], trials=1)
 
 
 # -- CSV output ---------------------------------------------------------------------

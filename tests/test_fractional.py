@@ -57,7 +57,7 @@ def test_ratios_equal_shifted_sinr():
         n, d, ratios = compute_nd(r, q)
         assert np.all(d > 0)
         assert np.all(n >= d)
-        assert np.allclose(ratios, z_from_p(r, q).active_z, rtol=1e-12)
+        assert np.allclose(ratios, z_from_p(r, q), rtol=1e-12)
 
 
 def test_compute_nd_input_checks():
@@ -240,8 +240,8 @@ def test_projection_lands_on_boundary():
         r = reduce_scenario(s)
         z0 = 1.0 + rng.uniform(0.1, 5.0, size=r.dim)
         res = dinkelbach_project(r, z0)
-        assert membership(r, r.vector(res.z_proj))
-        outside = r.vector(res.z_proj * (1.0 + 1e-4))
+        assert membership(r, res.z_proj)
+        outside = res.z_proj * (1.0 + 1e-4)
         assert not membership(r, outside)
 
 
@@ -253,7 +253,7 @@ def test_projection_powers_realize_output():
         z0 = 1.0 + rng.uniform(0.1, 5.0, size=r.dim)
         res = dinkelbach_project(r, z0)
         achieved = z_from_p(r, res.powers)
-        assert np.allclose(achieved.active_z, res.z_proj, rtol=1e-9, atol=1e-12)
+        assert np.allclose(achieved, res.z_proj, rtol=1e-9, atol=1e-12)
         # the ratios at the returned powers dominate the output componentwise
         assert np.all(compute_nd(r, res.powers)[2] >= res.z_proj * (1.0 - 1e-9))
 
@@ -290,10 +290,10 @@ _EXTREME_SEEDS = [*range(100), 341, 342, 513, 536, 632, 637, 703, 785, 872, 894,
 def test_projection_extreme_range_lands_on_boundary(seed):
     r, z0 = extreme_ray(seed)
     res = dinkelbach_project(r, z0)
-    assert membership(r, r.vector(res.z_proj))
+    assert membership(r, res.z_proj)
     beyond = np.maximum(res.lam * (1.0 + 1e-6) * z0, 1.0)
     if np.any(beyond > 1.0):
-        assert not membership(r, r.vector(beyond))
+        assert not membership(r, beyond)
     assert np.all(np.diff(res.lambdas) > 0)
     assert np.all(res.powers <= r.cap_carrier.reshape(-1))
 
@@ -307,7 +307,7 @@ def test_projection_warm_start_matches_cold_start(seed):
     cold = dinkelbach_project(r, z0)
     warm = dinkelbach_project(r, z0, start=start)
     assert warm.lam == pytest.approx(cold.lam, rel=1e-8)
-    assert membership(r, r.vector(warm.z_proj))
+    assert membership(r, warm.z_proj)
     assert np.all(np.diff(warm.lambdas) > 0)
     assert np.all(warm.powers <= r.cap_carrier.reshape(-1))
 
@@ -316,9 +316,9 @@ def _upper_scale_is_certified(r, z0, res):
     assert res.lam <= res.lam_upper <= res.lam * (1.0 + 1e-9)
     # the search tests realizability exactly, so no slack: the output is
     # realizable and, unless a cap binds at lam, lam_upper * z0 is not
-    assert membership(r, r.vector(res.z_proj), tol=0.0)
+    assert membership(r, res.z_proj, tol=0.0)
     if res.lam_upper != res.lam:
-        assert not membership(r, r.vector(np.maximum(res.lam_upper * z0, 1.0)), tol=0.0)
+        assert not membership(r, np.maximum(res.lam_upper * z0, 1.0), tol=0.0)
 
 
 def test_projection_upper_scale_is_certified():

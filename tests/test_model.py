@@ -45,17 +45,20 @@ def test_scenario_basic_shapes():
     assert s.gains.shape == (1, 2, 2)
 
 
+_GOOD = dict(
+    num_cells=1,
+    num_subcarriers=1,
+    users_per_cell=(1,),
+    sic_limit=2,
+    gains=[[[1.0]]],
+    noise_power=1.0,
+    subcarrier_cap=[[1.0]],
+    cell_cap=[1.0],
+)
+
+
 def test_scenario_rejects_bad_inputs():
-    good = dict(
-        num_cells=1,
-        num_subcarriers=1,
-        users_per_cell=(1,),
-        sic_limit=2,
-        gains=[[[1.0]]],
-        noise_power=1.0,
-        subcarrier_cap=[[1.0]],
-        cell_cap=[1.0],
-    )
+    good = _GOOD
     Scenario(**good)  # sanity: the base case is valid
 
     with pytest.raises(ScenarioError):
@@ -82,6 +85,36 @@ def test_scenario_rejects_bad_inputs():
         Scenario(**{**good, "weights": [-1.0]})
     with pytest.raises(ScenarioError):
         Scenario(**{**good, "weights": [1.0, 2.0]})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_cells", True),
+        ("num_cells", 1.5),
+        ("num_subcarriers", "1"),
+        ("users_per_cell", (True,)),
+        ("users_per_cell", ("1",)),
+        ("sic_limit", 1.5),
+        ("sic_limit", "2"),
+        ("noise_power", "1.0"),
+        ("noise_power", True),
+        ("gains", [[["1.0"]]]),
+        ("gains", [[[True]]]),
+        ("subcarrier_cap", [["1"]]),
+        ("cell_cap", [None]),
+        ("weights", ["1"]),
+    ],
+)
+def test_scenario_rejects_mistyped_fields(field, value):
+    with pytest.raises(ScenarioError, match=field):
+        Scenario(**{**_GOOD, field: value})
+
+
+def test_scenario_takes_integral_counts_as_int():
+    s = Scenario(**{**_GOOD, "num_cells": np.int64(1), "users_per_cell": (1.0,), "sic_limit": 2.0})
+    assert (s.num_cells, s.users_per_cell, s.sic_limit) == (1, (1,), 2)
+    assert type(s.num_cells) is int and type(s.sic_limit) is int
 
 
 def test_scenario_rejects_carrier_caps_above_cell_cap():
@@ -191,6 +224,13 @@ def test_from_json_rejects_unknown_and_missing_fields():
         Scenario.from_json("not json{")
     with pytest.raises(ScenarioError):
         Scenario.from_json_dict([1, 2, 3])
+
+
+def test_from_json_rejects_mistyped_counts():
+    doc = k1_scenario().to_json_dict()
+    for field, value in (("num_cells", True), ("sic_limit", 1.5), ("users_per_cell", 1)):
+        with pytest.raises(ScenarioError, match=field):
+            Scenario.from_json_dict({**doc, field: value})
 
 
 def test_to_json_nests_weights_per_cell():

@@ -59,7 +59,7 @@ def test_initial_vertex_dominates_every_member():
         q = rng.uniform(0.0, 1.0, size=r.dim) * r.cap_carrier.reshape(-1)
         from nomaopt.reduction import z_from_p
 
-        assert np.all(z_from_p(r, q).active_z <= corner + 1e-12)
+        assert np.all(z_from_p(r, q) <= corner + 1e-12)
 
 
 # -- children ----------------------------------------------------------------
@@ -392,6 +392,19 @@ def test_solve_result_json_dict():
     assert doc["p"] == pytest.approx([2.0], rel=1e-8)
     assert doc["feasibility"]["feasible"] is True
     assert all(len(row) == 3 for row in doc["trace"])
+
+
+def test_solve_result_z_is_flat_until_written():
+    s = random_scenario(np.random.default_rng(4), num_cells=2, num_subcarriers=2, users_per_cell=2)
+    r = reduce_scenario(s)
+    for res in (solve(s, epsilon=0.1), baseline_full_power(s)):
+        assert res.z.shape == (r.dim,)
+        assert not res.z.flags.writeable
+        doc = res.to_json_dict()
+        assert doc["active"] == list(r.active)
+        full = np.zeros(s.size)
+        full[list(r.active)] = res.z
+        assert doc["z"] == full.tolist()
 
 
 def test_budget_constants():

@@ -18,8 +18,6 @@ from nomaopt.model import Allocation, ScenarioError, build_decoding_order, check
 from nomaopt.reduction import (
     InconsistentSinrError,
     ReducedProblem,
-    SinrVector,
-    SinrVectorError,
     UnsupportedWeightsError,
     allocation_from_powers,
     membership,
@@ -31,38 +29,6 @@ from nomaopt.reduction import (
 )
 
 from conftest import k1_scenario, make_scenario, random_scenario, sym2_scenario
-
-
-# -- SinrVector ------------------------------------------------------------
-
-
-def test_sinr_vector_validation():
-    SinrVector(z=[2.0, 0.0], active=(0,))
-    with pytest.raises(SinrVectorError):
-        SinrVector(z=[[2.0]], active=(0,))
-    with pytest.raises(SinrVectorError):
-        SinrVector(z=[2.0, 1.0], active=(0,))  # inactive not 0
-    with pytest.raises(SinrVectorError):
-        SinrVector(z=[0.5, 0.0], active=(0,))  # active below 1
-    with pytest.raises(SinrVectorError):
-        SinrVector(z=[float("nan"), 0.0], active=(0,))
-    with pytest.raises(SinrVectorError):
-        SinrVector(z=[2.0, 2.0], active=(1, 0))  # unsorted
-    with pytest.raises(SinrVectorError):
-        SinrVector(z=[2.0], active=(0, 1))  # out of range
-
-
-def test_sinr_vector_snaps_round_off_below_one():
-    sv = SinrVector(z=[1.0 - 1e-10, 0.0], active=(0,))
-    assert sv.z[0] == 1.0
-    with pytest.raises(SinrVectorError):
-        SinrVector(z=[1.0 - 1e-8, 0.0], active=(0,))
-
-
-def test_sinr_vector_active_z():
-    sv = SinrVector(z=[0.0, 3.0, 0.0, 2.0], active=(1, 3))
-    assert np.array_equal(sv.active_z, [3.0, 2.0])
-    assert not sv.z.flags.writeable
 
 
 # -- reduce_scenario -------------------------------------------------------
@@ -102,47 +68,34 @@ def test_reduction_rejects_non_unit_weights():
         reduce_scenario(s)
 
 
-def test_vector_and_active_values_round_trip():
-    s = make_scenario([[[1.0, 5.0], [3.0, 2.0]]], subcarrier_cap=1.0)
-    r = reduce_scenario(s)
-    sv = r.vector([2.0, 4.0])
-    assert np.array_equal(r.active_values(sv), [2.0, 4.0])
-    assert sv.z[r.active[0]] == 2.0 and sv.z[r.active[1]] == 4.0
-    with pytest.raises(SinrVectorError):
-        r.vector([2.0])
-    other = SinrVector(z=np.zeros(s.size), active=())
-    with pytest.raises(SinrVectorError):
-        r.active_values(other)
-
-
 # -- change of variables ---------------------------------------------------
 
 
 def test_z_from_p_single_cell():
     s = k1_scenario(gain=1.0, noise=1.0, cap=2.0)
     r = reduce_scenario(s)
-    assert np.array_equal(z_from_p(r, [2.0]).active_z, [3.0])
-    assert np.array_equal(z_from_p(r, [0.0]).active_z, [1.0])
+    assert np.array_equal(z_from_p(r, [2.0]), [3.0])
+    assert np.array_equal(z_from_p(r, [0.0]), [1.0])
 
 
 def test_z_from_p_hand_value_with_interference():
     r = reduce_scenario(sym2_scenario())
     sv = z_from_p(r, [1.0, 1.0])
-    assert np.allclose(sv.active_z, [2.0, 2.0], rtol=1e-15)
+    assert np.allclose(sv, [2.0, 2.0], rtol=1e-15)
 
 
 def test_p_from_z_hand_value():
     r = reduce_scenario(sym2_scenario())
-    q = p_from_z(r, r.vector([2.0, 2.0]))
+    q = p_from_z(r, [2.0, 2.0])
     assert np.allclose(q, [1.0, 1.0], rtol=1e-12)
 
 
 def test_p_from_z_zero_power_entries():
     r = reduce_scenario(sym2_scenario())
-    q = p_from_z(r, r.vector([1.0, 1.0]))
+    q = p_from_z(r, [1.0, 1.0])
     assert np.array_equal(q, [0.0, 0.0])
     # one silent cell: the other is interference-free
-    q = p_from_z(r, r.vector([3.0, 1.0]))
+    q = p_from_z(r, [3.0, 1.0])
     assert np.allclose(q, [1.0, 0.0])
 
 
@@ -150,11 +103,11 @@ def test_p_from_z_rejects_unrealizable_targets():
     r = reduce_scenario(sym2_scenario())
     # gamma = 2 each: the interference balance matrix loses rank
     with pytest.raises(InconsistentSinrError) as info:
-        p_from_z(r, r.vector([3.0, 3.0]))
+        p_from_z(r, [3.0, 3.0])
     assert info.value.reason == "singular"
     # beyond the boundary the unique solution needs negative power
     with pytest.raises(InconsistentSinrError) as info:
-        p_from_z(r, r.vector([4.0, 4.0]))
+        p_from_z(r, [4.0, 4.0])
     assert info.value.reason == "negative"
 
 
@@ -162,10 +115,10 @@ def test_p_from_z_conditioning_check_is_relative():
     # sym2 at gamma = 2 - delta (both cells): q = gamma / (2 - gamma) and
     # A^-1 has diagonal 1 / (1 - gamma^2 / 4), about 1 / delta
     r = reduce_scenario(sym2_scenario())
-    q = p_from_z(r, r.vector([3.0 - 1e-6, 3.0 - 1e-6]))
+    q = p_from_z(r, [3.0 - 1e-6, 3.0 - 1e-6])
     assert np.allclose(q, (2.0 - 1e-6) / 1e-6, rtol=1e-6)
     with pytest.raises(InconsistentSinrError) as info:
-        p_from_z(r, r.vector([3.0 - 1e-14, 3.0 - 1e-14]))
+        p_from_z(r, [3.0 - 1e-14, 3.0 - 1e-14])
     assert info.value.reason == "singular"
 
 
@@ -179,7 +132,7 @@ def test_round_trip_random_instances():
         back = p_from_z(r, sv)
         assert np.allclose(back, q, rtol=1e-9, atol=1e-12)
         again = z_from_p(r, back)
-        assert np.allclose(again.active_z, sv.active_z, rtol=1e-12)
+        assert np.allclose(again, sv, rtol=1e-12)
 
 
 def _eliminate(r, zc):
@@ -224,14 +177,14 @@ def test_p_from_z_matches_elimination_reference():
         s = random_scenario(rng, num_cells=int(rng.integers(1, 6)), num_subcarriers=int(rng.integers(1, 4)))
         r = reduce_scenario(s)
         q = r.cap_carrier.reshape(-1) * rng.uniform(0.0, 1.0, size=r.dim) * (rng.uniform(size=r.dim) > 0.2)
-        zc = np.maximum(z_from_p(r, q).active_z * rng.uniform(1.0, 1.6), 1.0)
+        zc = np.maximum(z_from_p(r, q) * rng.uniform(1.0, 1.6), 1.0)
         expected = _eliminate(r, zc)
         if expected is None:
             with pytest.raises(InconsistentSinrError) as info:
-                p_from_z(r, r.vector(zc))
+                p_from_z(r, zc)
             assert info.value.reason == "negative"
         else:
-            assert np.allclose(p_from_z(r, r.vector(zc)), expected, rtol=1e-12, atol=0.0)
+            assert np.allclose(p_from_z(r, zc), expected, rtol=1e-12, atol=0.0)
         outcomes.add(expected is None)
     assert outcomes == {True, False}
 
@@ -246,17 +199,47 @@ def test_power_input_validation():
         z_from_p(r, [float("inf"), 0.0])
 
 
+_Z_TAKERS = {
+    "p_from_z": p_from_z,
+    "membership": membership,
+    "objective": lambda r, z: objective(z, weights=np.ones(r.dim)),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(_Z_TAKERS))
+@pytest.mark.parametrize(
+    "z, error",
+    [
+        pytest.param([2.0], "expected 2", id="short"),
+        pytest.param([2.0, 2.0, 2.0], "expected 2", id="long"),
+        pytest.param([float("nan"), 2.0], "finite", id="nan"),
+        pytest.param([2.0, float("inf")], "finite", id="inf"),
+        pytest.param([1.0 - 1e-8, 2.0], ">= 1", id="below-one"),
+        pytest.param([1.0 - 1e-10, 2.0], None, id="snapped"),
+    ],
+)
+def test_flat_z_is_checked_where_it_arrives(taker, z, error):
+    r = reduce_scenario(sym2_scenario())
+    call = _Z_TAKERS[taker]
+    if error is None:
+        # within 1e-9 below 1 is round-off at zero power: it counts as 1
+        assert np.array_equal(call(r, z), call(r, [1.0, 2.0]))
+    else:
+        with pytest.raises(ValueError, match=error):
+            call(r, z)
+
+
 # -- objective -------------------------------------------------------------
 
 
 def test_objective_is_log_sum():
-    sv = SinrVector(z=[3.0, 0.0, 2.0], active=(0, 2))
-    assert objective(sv) == pytest.approx(math.log(3.0) + math.log(2.0), rel=1e-15)
-    assert objective(sv, weights=[2.0, 0.0]) == pytest.approx(2 * math.log(3.0), rel=1e-15)
+    z = [3.0, 2.0]
+    assert objective(z) == pytest.approx(math.log(3.0) + math.log(2.0), rel=1e-15)
+    assert objective(z, weights=[2.0, 0.0]) == pytest.approx(2 * math.log(3.0), rel=1e-15)
     with pytest.raises(ValueError):
-        objective(sv, weights=[1.0])
+        objective(z, weights=[1.0])
     with pytest.raises(ValueError):
-        objective(sv, weights=[-1.0, 1.0])
+        objective(z, weights=[-1.0, 1.0])
 
 
 def test_objective_matches_direct_sum_rate():
@@ -275,11 +258,11 @@ def test_objective_matches_direct_sum_rate():
 
 def test_membership_inside_boundary_outside():
     r = reduce_scenario(sym2_scenario(q_cap=2.0))
-    assert membership(r, r.vector([2.0, 2.0]))
+    assert membership(r, [2.0, 2.0])
     # both cells at full power: 1 + 2*2 / (2 + 1) = 7/3 on each entry
-    assert membership(r, r.vector([7.0 / 3.0, 7.0 / 3.0]))
-    assert not membership(r, r.vector([2.4, 2.4]))
-    assert not membership(r, r.vector([4.0, 4.0]))  # unrealizable entirely
+    assert membership(r, [7.0 / 3.0, 7.0 / 3.0])
+    assert not membership(r, [2.4, 2.4])
+    assert not membership(r, [4.0, 4.0])  # unrealizable entirely
 
 
 def test_membership_with_tight_cell_cap():
@@ -289,7 +272,7 @@ def test_membership_with_tight_cell_cap():
     r = reduce_scenario(s)
     full = z_from_p(r, [2.0, 2.0])
     assert membership(r, full) is True
-    over = r.vector(full.active_z * 1.001)
+    over = full * 1.001
     assert membership(r, over) is False
 
 
