@@ -140,7 +140,6 @@ def cmd_solve(args) -> int:
         args.epsilon,
         max_iterations=args.max_iterations,
         max_vertices=args.max_vertices,
-        collect_trace=True,
     )
     _write_json(args.out, result.to_json_dict())
     if args.trace:

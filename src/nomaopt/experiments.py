@@ -22,15 +22,14 @@ per-trial streams spawned as (seed, trial index).
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import LN2, Scenario, ScenarioError, _integer, _real
+from .model import LN2, Scenario, ScenarioError, _integer, _read_json, _real, _write_csv
 from .oracle import baseline_full_power, baseline_greedy
 from .polyblock import solve
 
@@ -54,26 +53,6 @@ __all__ = [
     "write_bench_csv",
 ]
 
-_CONFIG_KEYS = {
-    "num_cells",
-    "users_per_cell",
-    "num_subcarriers",
-    "sic_limit",
-    "cell_radius_m",
-    "bandwidth_hz",
-    "noise_density_dbm_hz",
-    "pathloss_intercept_db",
-    "pathloss_slope_db",
-    "subcarrier_cap_w",
-    "cell_cap_w",
-    "min_distance_m",
-    "fading",
-    "seed",
-}
-_INT_FIELDS = ("num_cells", "users_per_cell", "num_subcarriers", "sic_limit", "seed")
-_REAL_FIELDS = sorted(_CONFIG_KEYS - set(_INT_FIELDS) - {"fading"})
-
-
 @dataclass(frozen=True)
 class RadioConfig:
     """Layout, propagation and budget parameters for scenario generation."""
@@ -94,13 +73,17 @@ class RadioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not isinstance(self.fading, bool):
-            raise ScenarioError(f"fading must be true or false, got {self.fading!r}")
-        for name in _REAL_FIELDS:
-            if not (name == "cell_cap_w" and self.cell_cap_w is None):
-                _real(getattr(self, name), name)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                object.__setattr__(self, f.name, _integer(value, f.name))
+            elif f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ScenarioError(f"{f.name} must be true or false, got {value!r}")
+            elif not (f.type == "float | None" and value is None):
+                _real(value, f.name)
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
         if self.num_cells < 1 or self.users_per_cell < 1 or self.num_subcarriers < 1:
             raise ScenarioError("cell, user and sub-carrier counts must be positive")
         if self.sic_limit < 1:
@@ -126,24 +109,15 @@ class RadioConfig:
         return self.num_subcarriers * self.subcarrier_cap_w
 
     def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in sorted(_CONFIG_KEYS)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RadioConfig":
-        if not isinstance(data, dict):
-            raise ScenarioError("radio config must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ScenarioError(f"unknown radio config fields: {sorted(unknown)}")
-        return cls(**data)
+        return _read_json(cls, "radio config", data=data)
 
     @classmethod
     def from_json(cls, text: str) -> "RadioConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid radio config JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return _read_json(cls, "radio config", text=text)
 
 
 def _bs_positions(cfg: RadioConfig) -> np.ndarray:
@@ -187,7 +161,7 @@ def generate_scenario(cfg: RadioConfig, seed=None) -> Scenario:
     if cfg.fading:
         gains = gains * rng.exponential(1.0, size=gains.shape)
     meta = {
-        "seed": cfg.seed if seed is None else (list(seed) if isinstance(seed, (list, tuple)) else seed),
+        "seed": cfg.seed if seed is None else np.asarray(seed).tolist(),
         "radio": cfg.to_json_dict(),
         "bs_xy": bs.tolist(),
         "user_xy": users.tolist(),
@@ -209,19 +183,11 @@ def scenario_with_caps(s: Scenario, subcarrier_cap_w: float, cell_cap_w: float |
     """Same gains and layout, different power budgets."""
     if cell_cap_w is None:
         cell_cap_w = s.num_subcarriers * subcarrier_cap_w
-    meta = dict(s.meta)
-    meta["cap_override_w"] = subcarrier_cap_w
-    return Scenario(
-        num_cells=s.num_cells,
-        num_subcarriers=s.num_subcarriers,
-        users_per_cell=s.users_per_cell,
-        sic_limit=s.sic_limit,
-        gains=s.gains,
-        noise_power=s.noise_power,
+    return replace(
+        s,
         subcarrier_cap=np.full((s.num_cells, s.num_subcarriers), subcarrier_cap_w),
         cell_cap=np.full(s.num_cells, cell_cap_w),
-        weights=s.weights,
-        meta=meta,
+        meta={**s.meta, "cap_override_w": subcarrier_cap_w},
     )
 
 
@@ -491,7 +457,7 @@ def _bench_trial(cfg: RadioConfig, epsilons, trial: int) -> list[BenchRecord]:
     full = baseline_full_power(s)
     greedy = baseline_greedy(s)
     for eps in epsilons:
-        pb = solve(s, eps, collect_trace=False)
+        pb = solve(s, eps)
         records.append(BenchRecord(eps, "polyblock", trial, pb.wall_time_s * 1e3, pb.iterations))
         records.append(BenchRecord(eps, "full-power", trial, full.wall_time_s * 1e3, full.iterations))
         records.append(BenchRecord(eps, "greedy", trial, greedy.wall_time_s * 1e3, greedy.iterations))
@@ -522,26 +488,12 @@ def runtime_bench(cfg: RadioConfig, epsilons, trials: int) -> BenchResult:
 
 
 def write_cdf_csv(result: CdfResult, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("value,cdf\n")
-        for v, c in zip(result.values, result.cdf):
-            fh.write(f"{v:.12g},{c:.12g}\n")
+    _write_csv(path, ("value", "cdf"), zip(result.values, result.cdf))
 
 
 def write_sweep_csv(result: SweepResult, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cap_w,epsilon,algo,mean_sum_rate_nats,mean_sum_rate_bits,trials\n")
-        for r in result.rows:
-            fh.write(
-                f"{r.cap_w:.12g},{r.epsilon:.12g},{r.algo},"
-                f"{r.mean_sum_rate_nats:.12g},{r.mean_sum_rate_bits:.12g},{r.trials}\n"
-            )
+    _write_csv(path, SweepRow._fields, result.rows)
 
 
 def write_bench_csv(result: BenchResult, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epsilon,algo,mean_ms,std_ms,mean_iters\n")
-        for r in result.rows:
-            fh.write(
-                f"{r.epsilon:.12g},{r.algo},{r.mean_ms:.12g},{r.std_ms:.12g},{r.mean_iters:.12g}\n"
-            )
+    _write_csv(path, BenchRow._fields, result.rows)

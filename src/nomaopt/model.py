@@ -2,7 +2,8 @@
 
 Problem instances, canonical vector indexing, SINR and sum-rate
 evaluation, SIC decoding order handling and allocation feasibility
-checking.
+checking, plus the one JSON reader and the one CSV writer behind the
+file formats.
 
 Unit conventions used across the package: channel gains are linear power
 gains (never dB), powers and noise are watts, rates are nats. Rates in
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -35,19 +36,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-_SCENARIO_KEYS = {
-    "num_cells",
-    "num_subcarriers",
-    "users_per_cell",
-    "sic_limit",
-    "gains",
-    "noise_power",
-    "subcarrier_cap",
-    "cell_cap",
-    "weights",
-    "meta",
-}
 
 
 class ScenarioError(ValueError):
@@ -87,6 +75,36 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _read_json(cls, name: str, *, text: str | None = None, data=None):
+    """An instance of dataclass cls from the JSON document ``name``, given
+    as text or already decoded: an object whose keys are cls's fields, every
+    field without a default present. Anything else raises ScenarioError."""
+    if text is not None:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"invalid {name} JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{name} must be a JSON object")
+    known = fields(cls)
+    unknown = set(data) - {f.name for f in known}
+    if unknown:
+        raise ScenarioError(f"unknown {name} fields: {sorted(unknown)}")
+    missing = {f.name for f in known if f.default is MISSING and f.default_factory is MISSING} - set(data)
+    if missing:
+        raise ScenarioError(f"missing {name} fields: {sorted(missing)}")
+    return cls(**data)
+
+
+def _write_csv(path, header, rows):
+    """A CSV file: the header, then one line per row, strings as they are
+    and numbers with 12 significant digits (%.12g)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Static problem instance for K cells sharing L sub-carriers.
@@ -102,8 +120,8 @@ class Scenario:
     per-carrier caps of a cell to sum to at most the cell cap, and the
     per-cell total is additionally checked against ``cell_cap`` whenever an
     allocation is verified. ``weights`` holds one non-negative rate weight
-    per user (global order). Instances are immutable; ``meta`` is free-form
-    provenance and must be treated as read-only.
+    per user (global order). Instances are immutable; ``meta`` is a dict of
+    free-form provenance and must be treated as read-only.
     """
 
     num_cells: int
@@ -164,6 +182,8 @@ class Scenario:
             w = _real_array(w, "weights")
         if w.shape != (U,) or not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ScenarioError("weights must be one finite non-negative value per user")
+        if not isinstance(self.meta, dict):
+            raise ScenarioError(f"meta must be a JSON object, got {type(self.meta).__name__}")
 
         gains.setflags(write=False)
         sc_cap.setflags(write=False)
@@ -266,34 +286,11 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario document must be a JSON object")
-        unknown = set(data) - _SCENARIO_KEYS
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-        missing = _SCENARIO_KEYS - {"meta", "weights"} - set(data)
-        if missing:
-            raise ScenarioError(f"missing scenario fields: {sorted(missing)}")
-        return cls(
-            num_cells=data["num_cells"],
-            num_subcarriers=data["num_subcarriers"],
-            users_per_cell=data["users_per_cell"],
-            sic_limit=data["sic_limit"],
-            gains=data["gains"],
-            noise_power=data["noise_power"],
-            subcarrier_cap=data["subcarrier_cap"],
-            cell_cap=data["cell_cap"],
-            weights=data.get("weights"),
-            meta=data.get("meta", {}),
-        )
+        return _read_json(cls, "scenario", data=data)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return _read_json(cls, "scenario", text=text)
 
 
 @dataclass(frozen=True, eq=False)

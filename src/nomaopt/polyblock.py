@@ -42,6 +42,7 @@ from .model import (
     Allocation,
     FeasibilityReport,
     Scenario,
+    _write_csv,
     build_decoding_order,
     check_feasible,
     sic_always_feasible,
@@ -317,7 +318,6 @@ def solve(
     *,
     max_iterations: int = MAX_ITERATIONS,
     max_vertices: int = MAX_VERTICES,
-    collect_trace: bool = True,
 ) -> SolveResult:
     """Certified epsilon-optimal joint power and sub-carrier allocation.
 
@@ -354,8 +354,7 @@ def solve(
         upper = sum(g.m * g.ub for g in groups)
         iterations += 1
         groups[max(refinable, key=gaps.__getitem__)].refine()
-        if collect_trace:
-            trace.append(TraceRow(iterations, upper, sum(g.m * g.lb for g in groups)))
+        trace.append(TraceRow(iterations, upper, sum(g.m * g.lb for g in groups)))
 
     f_best = sum(g.m * g.lb for g in groups)
     upper = sum(g.m * g.ub for g in groups)
@@ -392,8 +391,5 @@ def solve(
 
 
 def write_trace_csv(trace, path):
-    """Write trace rows as CSV: iteration, upper_bound, incumbent."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,upper_bound,incumbent\n")
-        for row in trace:
-            fh.write(f"{row.iteration},{row.upper_bound:.12g},{row.incumbent:.12g}\n")
+    """Write trace rows as CSV, one line per TraceRow."""
+    _write_csv(path, TraceRow._fields, trace)

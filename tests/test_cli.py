@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -84,22 +85,63 @@ def test_gen_rejects_mistyped_override(tmp_path, capsys, override):
 # -- solve ----------------------------------------------------------------------
 
 
+FORMATS = Path(__file__).resolve().parents[1] / "FORMATS.md"
+
+
+def _formats_section(title: str) -> str:
+    """The text of FORMATS.md's section ``## title``, up to the next one."""
+    return FORMATS.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_formats_result_example_matches_solve(tmp_path):
-    # the worked result example in FORMATS.md, rerun: every key but wall_time_s
-    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text()
+    # the worked result example in FORMATS.md, rerun: every key but
+    # wall_time_s; the trace CSV example is the same run's trace, byte for byte
+    text = FORMATS.read_text()
     m = re.search(
         r"`gen --set users_per_cell=2 --seed 5`, then\n`solve --epsilon 0.01`\):\n\n```json\n(.*?)```",
         text,
         re.S,
     )
     documented = json.loads(m.group(1))
-    scen, out = tmp_path / "scenario.json", tmp_path / "result.json"
+    scen, out, trace = tmp_path / "scenario.json", tmp_path / "result.json", tmp_path / "t.csv"
     assert main(["gen", "--set", "users_per_cell=2", "--seed", "5", "--out", str(scen)]) == EXIT_OK
-    assert main(["solve", "--scenario", str(scen), "--epsilon", "0.01", "--out", str(out)]) == EXIT_OK
+    assert main([
+        "solve", "--scenario", str(scen), "--epsilon", "0.01", "--out", str(out), "--trace", str(trace),
+    ]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert set(documented) == set(doc)
     for key in sorted(set(doc) - {"wall_time_s"}):
         assert doc[key] == documented[key], key
+    csv_block = re.search(r"```csv\n(.*?)```", _formats_section("Trace CSV (output: `solve --trace`)"), re.S)
+    assert trace.read_text() == csv_block.group(1)
+
+
+def test_formats_radio_config_table_matches_dataclass():
+    section = _formats_section("Radio config JSON (input: `gen`, `sweep`, `cdf`, `bench`)")
+    rows = re.findall(r"^\| `(\w+)` \| (\S+) \|", section, re.M)
+    documented = [(name, json.loads(default)) for name, default in rows]
+    declared = [(f.name, f.default) for f in dataclasses.fields(RadioConfig)]
+    assert documented == declared
+    # == takes 0 for false and 1 for 1.0; the JSON types must match too
+    assert [type(v) for _, v in documented] == [type(v) for _, v in declared]
+
+
+def test_formats_scenario_keys_match_dataclass():
+    section = _formats_section("Scenario JSON (output: `gen`; input: `solve`, `oracle`)")
+    bullets = section.split("\nExample")[0].split("\n- ")[1:]
+    documented = [name for b in bullets for name in re.findall(r"`(\w+)`", b.split(":")[0])]
+    assert documented == [f.name for f in dataclasses.fields(Scenario)]
+
+
+def test_solve_rejects_meta_that_is_not_an_object(tmp_path, capsys):
+    scen = tmp_path / "scenario.json"
+    doc = _write_scenario(scen).to_json_dict()
+    scen.write_text(json.dumps({**doc, "meta": [1, 2]}))
+    out = tmp_path / "result.json"
+    code = main(["solve", "--scenario", str(scen), "--epsilon", "0.1", "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "meta" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_end_to_end(tmp_path, capsys):

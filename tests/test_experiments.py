@@ -75,6 +75,7 @@ def test_radio_config_validation():
         ("cell_cap_w", "1e-6"),
         ("noise_density_dbm_hz", float("nan")),
         ("pathloss_slope_db", None),
+        ("seed", -1),
     ],
 )
 def test_radio_config_rejects_mistyped_fields(field, value):
@@ -99,6 +100,13 @@ def test_radio_config_json_round_trip():
 
 
 # -- scenario generation -------------------------------------------------------
+
+
+def test_generated_scenario_records_seed_override_as_plain_ints():
+    s = generate_scenario(SMALL, seed=np.int64(3))
+    assert type(s.meta["seed"]) is int
+    assert s.to_json() == generate_scenario(SMALL, seed=3).to_json()
+    assert generate_scenario(SMALL, seed=(3, 1)).meta["seed"] == [3, 1]
 
 
 def test_generated_scenario_shape_and_caps():

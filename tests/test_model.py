@@ -104,6 +104,9 @@ def test_scenario_rejects_bad_inputs():
         ("subcarrier_cap", [["1"]]),
         ("cell_cap", [None]),
         ("weights", ["1"]),
+        ("meta", None),
+        ("meta", [1, 2]),
+        ("meta", "provenance"),
     ],
 )
 def test_scenario_rejects_mistyped_fields(field, value):

@@ -340,13 +340,6 @@ def test_solve_trace_invariants():
     assert res.trace[-1].incumbent == pytest.approx(res.sum_rate_nats, abs=1e-9)
 
 
-def test_solve_without_trace():
-    s = sym2_scenario()
-    res = solve(s, epsilon=0.1, collect_trace=False)
-    assert res.trace == ()
-    assert res.certified
-
-
 def test_solve_budget_exceeded_is_reported_not_raised():
     rng = np.random.default_rng(83)
     s = random_scenario(rng, num_cells=3, num_subcarriers=1, users_per_cell=2)
