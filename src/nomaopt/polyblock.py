@@ -14,7 +14,12 @@ onto the feasible boundary along its ray (which yields a feasible
 incumbent candidate and a certified unrealizable point on the ray just
 past it), and replaces it by one child per coordinate that point lifts
 above 1, shrinking the approximation; each child's projection starts
-from its parent's boundary powers. The loop ends when the summed upper
+from its parent's boundary powers. Before they are stored, the children
+go through the reduce step of branch-reduce-and-bound (Tuy, SIAM J.
+Optim. 11(2), 2000): against the threshold t = incumbent + epsilon / L,
+a child whose box holds no realizable point worth more than t is
+dropped, and any other is lowered to the part of its box that can hold
+one (``reduce_children``). The loop ends when the summed upper
 bound is within epsilon of the summed incumbent, which certifies
 epsilon-optimality (with no projection at all when the full-power
 incumbents already are), or when a safety budget runs out, in which case
@@ -24,14 +29,17 @@ The children are cut at the unrealizable point u, not at the boundary
 point itself. The feasible set is normal, so every realizable point lies
 below u on some coordinate, and not on one where u is 1, the floor of
 every coordinate: the boxes left out hold no realizable point, and the
-upper bound needs no tolerance for where the boundary was found.
+upper bound needs no tolerance for where the boundary was found. What
+the reduce step cuts away may hold realizable points worth up to t, so
+each cut records t as a value left out, and a group whose vertices are
+all gone keeps that as its bound.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +59,7 @@ from .model import (
 from .reduction import (
     ReducedProblem,
     allocation_from_powers,
+    power_systems,
     reduce_scenario,
 )
 
@@ -59,6 +68,7 @@ __all__ = [
     "SolveResult",
     "initial_vertex",
     "generate_children",
+    "reduce_children",
     "solve",
     "write_trace_csv",
     "MAX_ITERATIONS",
@@ -67,6 +77,10 @@ __all__ = [
 
 MAX_ITERATIONS = 100_000
 MAX_VERTICES = 1_000_000
+
+# relative round-off slack of the reduce step's cap test and lowered bound,
+# the slack ``reduction.membership`` gives the caps
+_CAP_RTOL = 1e-9
 
 
 class TraceRow(NamedTuple):
@@ -161,6 +175,42 @@ def generate_children(parent: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return children
 
 
+def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.ndarray:
+    """The rows of ``children`` cut down to what can beat t, as a new array.
+
+    r has one carrier and each row v spans the box [1, v]. A point z of
+    the box worth more than t (sum_j log z_j > t) has
+    z_i > exp(t - sum_{j != i} log v_j) on every coordinate, so it lies
+    above the corner a = max(1, exp(t - f(v) + log v_i)), f(v) the sum of
+    logs, here rounded down by the round-off of those sums. The minimal
+    powers q(a) grow with the SINRs, so a realizable z >= a needs at least
+    q(a) and has z_i <= 1 + g_ii cap_i / (N + sum_j g_ij q_j(a)).
+
+    All rows solve for q(a) in one batched ``power_systems`` call. A row
+    whose corner is past the pole, or needs more than a cap beyond the
+    round-off slack, holds nothing realizable worth more than t and is
+    dropped; any other row is lowered to the bound above, inflated by the
+    same slack. A singular system proves nothing, and its row is kept as
+    it is, as is a row worth at most t, which the prune that follows
+    drops at its own value, a tighter record than t. Rows keep their
+    order.
+    """
+    logs = np.log(children)
+    f = logs.sum(axis=1, keepdims=True)
+    slack = 4.0 * (children.shape[1] + 2) * np.finfo(float).eps * (1.0 + abs(t) + f)
+    a = np.maximum(np.exp(t - f + logs - slack), 1.0)
+    q, _, singular, negative = power_systems(r, a - 1.0)
+    caps = r.cap_carrier.reshape(-1)
+    noise = r.scenario.noise_power
+    over = np.any(q > caps * (1.0 + _CAP_RTOL) + _CAP_RTOL * noise, axis=1)
+    scale, cross = r._system
+    den = scale * noise + np.maximum(q, 0.0) @ cross[0].T
+    bound = 1.0 + caps / den * (1.0 + _CAP_RTOL)
+    keep = singular | (f[:, 0] <= t)
+    lowered = np.where(keep[:, None], children, np.minimum(children, bound))
+    return lowered[keep | ~(negative | over)]
+
+
 class _VertexSet:
     """Compact vertex store over active-coordinate values.
 
@@ -229,19 +279,27 @@ class _VertexSet:
         return self._z[idx].copy()
 
 
-def _carrier_problem(s: Scenario, r: ReducedProblem, l: int) -> ReducedProblem:
-    """Reduced problem of carrier l alone, its carrier caps standing in for
-    the cell caps. With one carrier that is r itself."""
-    if s.num_subcarriers == 1:
+def _carrier_problem(r: ReducedProblem, l: int) -> ReducedProblem:
+    """Reduced problem of carrier l alone: r's arrays sliced to that
+    carrier (contiguous), with r's scenario and the canonical indices of
+    the carrier's served entries. With one carrier that is r itself."""
+    L = r.gain_active.shape[1]
+    if L == 1:
         return r
-    sub = replace(
-        s,
-        num_subcarriers=1,
-        gains=s.gains[:, :, l : l + 1],
-        subcarrier_cap=s.subcarrier_cap[:, l : l + 1],
-        cell_cap=s.subcarrier_cap[:, l],
+
+    def part(a: np.ndarray) -> np.ndarray:
+        a = np.ascontiguousarray(a[:, l : l + 1])
+        a.setflags(write=False)
+        return a
+
+    return ReducedProblem(
+        scenario=r.scenario,
+        best_user=part(r.best_user),
+        active=r.active[l::L],
+        gain_active=part(r.gain_active),
+        gain_cross=part(r.gain_cross),
+        cap_carrier=part(r.cap_carrier),
     )
-    return reduce_scenario(sub)
 
 
 def _carrier_groups(r: ReducedProblem) -> list[list[int]]:
@@ -261,13 +319,19 @@ class _CarrierSearch:
     """Polyblock state of one group of identical carriers.
 
     ``lb`` is the best value found (realized by ``best_q``), starting from
-    the full-power point when that beats silence. ``ub`` bounds the
-    group's optimum: the largest stored vertex value, or once the store is
-    empty the larger of ``lb`` and the largest value pruned, since every
-    box left out either was pruned or holds nothing above its projection.
-    Stored vertices are all worth more than ``lb + tol`` after each
-    refinement and pruned ones at most that, so ``lb <= ub``, and
-    ``ub <= lb + tol`` once the store is empty.
+    the full-power point when that beats silence. Each refinement reduces
+    the new children against t = ``lb + tol`` (``reduce_children``)
+    before storing them, and whenever that drops or lowers one it records
+    t in ``store.dropped_max``: the parts cut away hold no realizable
+    point worth more than t, but may hold some worth up to t, which ``lb``
+    alone does not bound. ``ub`` bounds the group's optimum: the largest
+    stored vertex value, or once the store is empty the larger of ``lb``
+    and ``store.dropped_max``, since every box left out was pruned at its
+    value, cut by the reduce step at a recorded t, or holds nothing above
+    its projection. Stored vertices are all worth more than ``lb + tol``
+    after each refinement, and pruned values and recorded thresholds are
+    at most that, so ``lb <= ub``, and ``ub <= lb + tol`` once the store
+    is empty.
     """
 
     def __init__(self, r: ReducedProblem, carriers: list[int], tol: float):
@@ -292,7 +356,8 @@ class _CarrierSearch:
         """Project the best vertex from its stored start powers, keep the
         projection as incumbent if it improves and replace the vertex by
         its children, cut at the certified unrealizable scale
-        ``lam_upper``; they inherit the projection's powers as their start."""
+        ``lam_upper`` and then reduced against ``lb + tol``; they inherit
+        the projection's powers as their start."""
         sel_idx, _ = self.store.argmax_lex()
         parent, start = self.store.pop(sel_idx)
 
@@ -301,11 +366,16 @@ class _CarrierSearch:
         if f_proj >= self.lb:
             self.lb, self.best_c, self.best_q = f_proj, proj.z_proj, proj.powers
 
-        upper = np.maximum(proj.lam_upper * parent, 1.0)
-        for child in generate_children(parent, upper):
+        t = self.lb + self.tol
+        children = generate_children(parent, upper=np.maximum(proj.lam_upper * parent, 1.0))
+        reduced = reduce_children(self.r, children, t)
+        if reduced.shape != children.shape or np.any(reduced != children):
+            # the parts cut away may hold realizable points worth up to t
+            self.store.dropped_max = max(self.store.dropped_max, t)
+        for child in reduced:
             if not self.store.covers(child):
                 self.store.add(child, float(np.sum(np.log(child))), proj.powers)
-        self.store.prune_value(self.lb + self.tol)
+        self.store.prune_value(t)
         if self.store.count:
             self.ub = self.store.max_value()
         else:
@@ -334,7 +404,7 @@ def solve(
     r = reduce_scenario(s)
     K, L = r.gain_active.shape
     groups = [
-        _CarrierSearch(_carrier_problem(s, r, carriers[0]), carriers, epsilon / L)
+        _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, epsilon / L)
         for carriers in _carrier_groups(r)
     ]
 

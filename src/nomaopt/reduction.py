@@ -33,6 +33,7 @@ __all__ = [
     "z_from_p",
     "p_from_z",
     "solve_power_system",
+    "power_systems",
     "objective",
     "membership",
     "sum_rate_from_powers",
@@ -90,7 +91,7 @@ class ReducedProblem:
 
     @cached_property
     def _system(self) -> tuple[np.ndarray, np.ndarray]:
-        """Constants of ``solve_power_system``: per carrier, the row scale
+        """Constants of ``power_systems``: per carrier, the row scale
         1 / g_kk (L, K) and the cross gains g_kj / g_kk (L, K, K)."""
         scale = 1.0 / self.gain_active.T
         cross = np.ascontiguousarray(np.transpose(self.gain_cross, (1, 0, 2))) * scale[:, :, None]
@@ -189,57 +190,76 @@ def p_from_z(r: ReducedProblem, z) -> np.ndarray:
 
 
 def solve_power_system(r: ReducedProblem, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """Powers giving each reduced entry SINR gamma, with each carrier's inverse.
+    """Powers giving each flat reduced entry SINR gamma, with each carrier's inverse.
 
-    Cell k on carrier l needs g_kk q_k = gamma_k (N + sum_j g_kj q_j) over
-    the other cells j on l. Dividing each row by its serving gain (Scenario
-    validation keeps gains positive) gives one system per carrier,
-    A_l q_l = gamma_l N / g_l with A_l = I - diag(gamma_l / g_l) G_l,
-    which all carriers solve in one batched call. Entries with gamma = 0
-    take zero power: their rows are unit rows and their columns are
-    dropped, since a silent cell interferes with nobody.
-
-    Returns the flat powers (K*L,) and A^-1 stacked per carrier (L, K, K).
-    1 / (A^-1)_kk is the pivot that eliminating every other cell leaves on
-    cell k, whatever units the powers are in; one below 1e-12 of the unit
-    diagonal raises InconsistentSinrError("singular"). A power below
-    -1e-12 W raises InconsistentSinrError("negative"); powers in
-    [-1e-12, 0) are clamped to 0.
+    ``power_systems`` with carrier l as system l. Returns the flat powers
+    (K*L,), entries in [-1e-12, 0) clamped to 0, and A^-1 stacked per
+    carrier (L, K, K). The first singular carrier raises
+    InconsistentSinrError("singular"); failing that, a power below
+    -1e-12 W raises InconsistentSinrError("negative").
     """
     K, L = r.gain_active.shape
+    q, inv, singular, negative = power_systems(r, np.asarray(gamma, dtype=float).reshape(K, L).T)
+    if singular.any():
+        l = int(np.argmax(singular))
+        pivot = 1.0 / np.abs(np.diagonal(inv[l])).max()
+        raise InconsistentSinrError(
+            f"singular SINR system on carrier {l} (pivot {pivot:.3g})", reason="singular"
+        )
+    q = q.T.reshape(-1)
+    low = int(np.argmin(q))
+    if negative.any():
+        raise InconsistentSinrError(
+            f"SINR vector needs negative power {q[low]:.6g} W in cell {low // L} on carrier {low % L}",
+            reason="negative",
+        )
+    if q[low] < 0.0:
+        q = np.maximum(q, 0.0)
+    return q, inv
+
+
+def power_systems(
+    r: ReducedProblem, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a batch of power systems in one call, with verdicts per system.
+
+    Row b of gamma (B, K) asks cell k for SINR gamma[b, k] on carrier b,
+    or on the one carrier of r for every row when r has one. Cell k on
+    carrier l needs g_kk q_k = gamma_k (N + sum_j g_kj q_j) over the other
+    cells j on l. Dividing each row by its serving gain (Scenario
+    validation keeps gains positive) gives A q = gamma N / g with
+    A = I - diag(gamma / g) G, which every row solves in one batched call.
+    Entries with gamma = 0 take zero power: their rows are unit rows and
+    their columns are dropped, since a silent cell interferes with nobody.
+
+    Returns the unclamped powers (B, K), the inverses A^-1 (B, K, K) and
+    two masks (B,). ``singular`` marks rows where some 1 / (A^-1)_kk, the
+    pivot that eliminating every other cell leaves on cell k whatever
+    units the powers are in, is below 1e-12 of the unit diagonal: their
+    powers mean nothing. ``negative`` marks rows with a power below
+    -1e-12 W: their SINRs lie past the pole, where no non-negative powers
+    reach them.
+    """
+    B, K = gamma.shape
     scale, cross = r._system
-    gam = np.asarray(gamma, dtype=float).reshape(K, L).T
-    on = gam > 0.0
-    A = gam[:, :, None] * -cross * on[:, None, :]
+    on = gamma > 0.0
+    A = gamma[:, :, None] * -cross * on[:, None, :]
     diag = np.arange(K)
     A[:, diag, diag] = 1.0
-    rhs = np.zeros((L, K, K + 1))
-    rhs[:, :, 0] = gam * scale * r.scenario.noise_power
+    rhs = np.zeros((B, K, K + 1))
+    rhs[:, :, 0] = gamma * scale * r.scenario.noise_power
     # the inverse's columns start one right: flat positions k (K + 2) + 1
     # address its diagonal (rhs is C-contiguous, so this writes through)
-    rhs.reshape(L, K * (K + 1))[:, 1 :: K + 2] = 1.0
-    x = _solve_carriers(A, rhs)
-    growth = np.abs(x.reshape(L, K * (K + 1))[:, 1 :: K + 2])
-    if not growth.max() <= 1e12:
-        l = int(np.flatnonzero(~np.all(growth <= 1e12, axis=1))[0])
-        raise InconsistentSinrError(
-            f"singular SINR system on carrier {l} (pivot {1.0 / growth[l].max():.3g})",
-            reason="singular",
-        )
-    q = x[:, :, 0].T.reshape(-1)
-    low = int(np.argmin(q))
-    if q[low] < 0.0:
-        if q[low] < -1e-12:
-            raise InconsistentSinrError(
-                f"SINR vector needs negative power {q[low]:.6g} W in cell {low // L} on carrier {low % L}",
-                reason="negative",
-            )
-        q = np.maximum(q, 0.0)
-    return q, x[:, :, 1:]
+    rhs.reshape(B, K * (K + 1))[:, 1 :: K + 2] = 1.0
+    x = _solve_batch(A, rhs)
+    growth = np.abs(x.reshape(B, K * (K + 1))[:, 1 :: K + 2])
+    q = x[:, :, 0]
+    # NaN growth (an exactly singular system) compares false: singular
+    return q, x[:, :, 1:], ~(growth.max(axis=1) <= 1e12), q.min(axis=1) < -1e-12
 
 
-def _solve_carriers(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve; an exactly singular carrier gets NaN instead of raising."""
+def _solve_batch(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve; an exactly singular system gets NaN instead of raising."""
     try:
         return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:

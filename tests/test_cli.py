@@ -207,11 +207,12 @@ def test_solve_malformed_scenario(tmp_path):
 
 
 def test_solve_budget_exit_code_with_partial_result(tmp_path, capsys):
+    # this drop certifies at epsilon 1e-3 in one iteration, at 1e-6 in two
     scen = tmp_path / "scenario.json"
     _write_scenario(scen)
     out = tmp_path / "partial.json"
     code = main([
-        "solve", "--scenario", str(scen), "--epsilon", "0.001",
+        "solve", "--scenario", str(scen), "--epsilon", "1e-6",
         "--max-iterations", "1", "--out", str(out),
     ])
     assert code == EXIT_BUDGET

@@ -7,6 +7,7 @@ incumbent both equal the optimum, so the search needs no projection.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -23,10 +24,11 @@ from nomaopt.polyblock import (
     _VertexSet,
     generate_children,
     initial_vertex,
+    reduce_children,
     solve,
     write_trace_csv,
 )
-from nomaopt.reduction import reduce_scenario
+from nomaopt.reduction import power_systems, reduce_scenario
 
 from conftest import k1_scenario, make_scenario, random_scenario, sym2_scenario
 
@@ -169,6 +171,109 @@ def test_argmax_lex_breaks_ties_by_largest_coordinates():
     assert np.array_equal(store.row(idx), [2.0, 3.0])
 
 
+# -- carrier slices ------------------------------------------------------------
+
+
+def _carrier_scenario(s, l):
+    """Carrier l of s as a scenario of its own, its carrier caps standing
+    in for the cell caps."""
+    return dataclasses.replace(
+        s,
+        num_subcarriers=1,
+        gains=s.gains[:, :, l : l + 1],
+        subcarrier_cap=s.subcarrier_cap[:, l : l + 1],
+        cell_cap=s.subcarrier_cap[:, l],
+    )
+
+
+def test_carrier_slice_matches_reduction_of_the_carrier():
+    rng = np.random.default_rng(97)
+    cases = [random_scenario(rng, num_cells=K, num_subcarriers=L) for K, L in ((2, 2), (3, 4), (1, 3))]
+    cases.append(generate_scenario(RadioConfig(num_cells=2, num_subcarriers=4, users_per_cell=2), seed=[0, 0]))
+    cases.append(make_scenario(rng.uniform(0.1, 2.0, size=(2, 5, 3)), users_per_cell=(2, 3)))
+    for s in cases:
+        r = reduce_scenario(s)
+        for l in range(s.num_subcarriers):
+            sub = _carrier_scenario(s, l)
+            part, ref = _carrier_problem(r, l), reduce_scenario(sub)
+            for name in ("best_user", "gain_active", "gain_cross", "cap_carrier"):
+                a, b = getattr(part, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+                assert a.flags.c_contiguous and not a.flags.writeable, name
+            for a, b in zip(part._system, ref._system):
+                assert a.tobytes() == b.tobytes()
+            # the slice indexes the whole scenario: the same (cell, user) pairs on carrier l
+            assert part.scenario is s
+            assert [s.triplet(i) for i in part.active] == [
+                (k, l, u) for k, _, u in (sub.triplet(i) for i in ref.active)
+            ]
+    one = reduce_scenario(k1_scenario())
+    assert _carrier_problem(one, 0) is one
+
+
+# -- reduce step ---------------------------------------------------------------
+
+
+def test_reduce_keeps_every_realizable_point_worth_more_than_the_threshold():
+    # each child on its own: the row it leaves (if any) must still hold
+    # every sampled realizable point of its box worth more than t
+    rng = np.random.default_rng(101)
+    dropped = lowered = 0
+    for trial in range(30):
+        K = int(rng.integers(2, 5))
+        s = generate_scenario(RadioConfig(num_cells=K, users_per_cell=2, fading=True), seed=[101, trial])
+        r = reduce_scenario(s)
+        corner = initial_vertex(r)
+        # powers at or near the caps reach the boundary of the realizable set
+        u = rng.uniform(size=(4000, K)) ** 0.3
+        u[rng.uniform(size=u.shape) < 0.3] = 1.0
+        q = u * r.cap_carrier.reshape(-1)
+        z = 1.0 + r.gain_active.reshape(-1) * q / (r.scenario.noise_power + q @ r.gain_cross[:, 0, :].T)
+        fz = np.log(z).sum(axis=1)
+        for _ in range(10):
+            # t near the top of the sample, v between a good sample and the corner
+            t = float(np.quantile(fz, rng.uniform(0.8, 1.0))) + rng.uniform(0.0, 0.2)
+            w = rng.uniform(0.0, 0.5, size=K)
+            v = z[int(np.argmax(fz - rng.uniform(0.0, 3.0, size=fz.shape)))] ** (1.0 - w) * corner**w
+            out = reduce_children(r, v[None, :], t)
+            inside = np.all(z <= v, axis=1) & (fz > t)
+            if out.shape[0] == 0:
+                dropped += 1
+                assert not inside.any()
+            else:
+                assert np.all(out[0] <= v)
+                lowered += bool(np.any(out[0] < v))
+                assert np.all(z[inside] <= out[0])
+    # both cuts happen on these drops
+    assert dropped > 0 and lowered > 0
+
+
+def test_reduce_leaves_low_and_singular_children_alone(monkeypatch):
+    import nomaopt.polyblock as P
+
+    r = reduce_scenario(sym2_scenario())  # box corner (5, 5), pole at SINRs (2, 2)
+    t = math.log(15.0)
+    kids = np.array([[5.0, 5.0], [5.0, 2.0], [5.0, 4.0]])
+    logs = np.log(kids)
+    a = np.maximum(np.exp(t - logs.sum(axis=1, keepdims=True) + logs), 1.0)
+    # the corner of (5, 5) at t is (3, 3), the pole itself: the verdict is
+    # singular; (5, 2) is worth log 10 <= t, left for the prune to drop at
+    # its own value; the corner (3.75, 3) of (5, 4) lies past the pole
+    assert np.allclose(a[0], [3.0, 3.0], rtol=1e-14)
+    singular, negative = power_systems(r, a - 1.0)[2:]
+    assert singular.tolist() == [True, False, False] and negative[2]
+    assert np.array_equal(reduce_children(r, kids, t), kids[:2])
+
+    # with every system singular nothing is dropped or lowered
+    def all_singular(r, gamma):
+        q, inv, singular, negative = power_systems(r, gamma)
+        return q, inv, np.ones_like(singular), negative
+
+    monkeypatch.setattr(P, "power_systems", all_singular)
+    assert np.array_equal(reduce_children(r, kids, t), kids)
+
+
 # -- end-to-end solve ---------------------------------------------------------
 
 
@@ -288,6 +393,9 @@ def test_fading_drops_project_in_few_evaluations(monkeypatch):
         return res
 
     monkeypatch.setattr(P, "dinkelbach_project", counted)
+    # without the reduce step these drops take hundreds of projections;
+    # with it, a handful
+    monkeypatch.setattr(P, "reduce_children", lambda r, children, t: children)
     for K in (5, 6):
         for i in range(4):
             s = generate_scenario(RadioConfig(num_cells=K, users_per_cell=2, fading=True), seed=[0, i])
@@ -301,7 +409,7 @@ def test_emptied_group_bound_is_its_largest_pruned_value():
     s = generate_scenario(RadioConfig(num_cells=2, num_subcarriers=2, users_per_cell=2, fading=True), seed=[0, 0])
     r = reduce_scenario(s)
     for carriers in _carrier_groups(r):
-        g = _CarrierSearch(_carrier_problem(s, r, carriers[0]), carriers, eps / 2)
+        g = _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, eps / 2)
         for _ in range(100):
             if not g.store.count:
                 break
@@ -309,10 +417,98 @@ def test_emptied_group_bound_is_its_largest_pruned_value():
         assert g.store.count == 0
         assert g.lb <= g.ub == max(g.lb, g.store.dropped_max) <= g.lb + eps / 2
         # the bound still covers the carrier's own optimum
-        assert g.ub >= grid_optimum(g.r.scenario, grid_points_per_dim=400).value - 1e-9
+        assert g.ub >= grid_optimum(_carrier_scenario(s, carriers[0]), grid_points_per_dim=400).value - 1e-9
     res = solve(s, epsilon=eps)
     assert res.certified
     assert res.upper_bound >= grid_optimum(s, grid_points_per_dim=60).value - 1e-9
+
+
+def test_reduce_step_intervals_intersect_the_unreduced_solver(monkeypatch):
+    # the reduce step patched to the identity is the polyblock without it
+    import nomaopt.polyblock as P
+
+    drops = [
+        generate_scenario(RadioConfig(num_cells=K, users_per_cell=2, fading=True), seed=[3, i])
+        for K in (5, 6)
+        for i in range(8)
+    ]
+    reduced = [solve(s, epsilon=0.01) for s in drops]
+    again = [solve(s, epsilon=0.01) for s in drops]
+    monkeypatch.setattr(P, "reduce_children", lambda r, children, t: children)
+    plain = [solve(s, epsilon=0.01) for s in drops]
+    for a, b, c in zip(reduced, plain, again):
+        assert a.certified and b.certified
+        assert max(a.sum_rate_nats, b.sum_rate_nats) <= min(a.upper_bound, b.upper_bound) + 1e-9
+        assert (c.iterations, c.sum_rate_nats, c.upper_bound) == (a.iterations, a.sum_rate_nats, a.upper_bound)
+        assert np.array_equal(c.allocation.p, a.allocation.p)
+    assert sum(a.iterations for a in reduced) < sum(b.iterations for b in plain) / 10
+
+
+def test_reduce_step_sandwiches_grid_oracle():
+    points = {2: 400, 3: 60, 4: 30}
+    checks = 0
+    for K, L in ((2, 1), (3, 1), (4, 1), (2, 2)):
+        for fading in (False, True):
+            for i in range(12):
+                s = generate_scenario(
+                    RadioConfig(num_cells=K, num_subcarriers=L, users_per_cell=2, fading=fading), seed=[7, i]
+                )
+                ref = grid_optimum(s, grid_points_per_dim=points[K * L])
+                for eps in (0.01, 0.1):
+                    res = solve(s, epsilon=eps)
+                    assert res.certified
+                    assert ref.value <= res.upper_bound + 1e-9
+                    assert res.sum_rate_nats <= ref.value + ref.error_bound + 1e-9
+                    assert res.upper_bound - res.sum_rate_nats <= eps + 1e-9
+                    checks += 1
+    assert checks == 192
+
+
+def test_group_bound_covers_the_carrier_optimum_after_every_refine(monkeypatch):
+    # a box the reduce step cuts away may hold points worth up to its
+    # threshold; the group's bound must never fall below the optimum. On
+    # the large-epsilon cases a bound that forgot the thresholds of
+    # dropped children falls 0.08-0.3 nats below it once the store
+    # empties; one that forgot those of lowered children is caught by the
+    # record itself
+    import nomaopt.polyblock as P
+
+    cuts = []
+
+    def counted(r, children, t):
+        out = reduce_children(r, children, t)
+        dropped = out.shape != children.shape
+        cuts.append((t, dropped, not dropped and bool(np.any(out != children))))
+        return out
+
+    monkeypatch.setattr(P, "reduce_children", counted)
+    cases = [
+        (3, 1, False, 4, 1e-4, 1.0),
+        (3, 1, True, 5, 1e-4, 0.5),
+        (3, 1, True, 5, 1e-5, 1.0),
+        (2, 1, True, 0, None, 0.01),
+        (2, 2, True, 4, None, 0.05),
+    ]
+    for K, L, fading, seed, cap, eps in cases:
+        s = generate_scenario(RadioConfig(num_cells=K, num_subcarriers=L, users_per_cell=2, fading=fading), seed=[7, seed])
+        if cap is not None:
+            s = scenario_with_caps(s, cap)
+        r = reduce_scenario(s)
+        for carriers in _carrier_groups(r):
+            best = grid_optimum(_carrier_scenario(s, carriers[0]), grid_points_per_dim=1500 if K == 2 else 120).value
+            g = _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, eps / L)
+            for _ in range(200):
+                if not g.store.count:
+                    break
+                g.refine()
+                t, dropped, lowered = cuts[-1]
+                if dropped or lowered:
+                    assert g.store.dropped_max >= t
+                assert g.lb <= g.ub
+                assert g.ub >= best - 1e-9
+            assert g.store.count == 0
+    # both kinds of cut happen
+    assert any(c[1] for c in cuts) and any(c[2] for c in cuts)
 
 
 def test_solve_is_deterministic():

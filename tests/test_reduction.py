@@ -23,6 +23,7 @@ from nomaopt.reduction import (
     membership,
     objective,
     p_from_z,
+    power_systems,
     reduce_scenario,
     sum_rate_from_powers,
     z_from_p,
@@ -120,6 +121,35 @@ def test_p_from_z_conditioning_check_is_relative():
     with pytest.raises(InconsistentSinrError) as info:
         p_from_z(r, [3.0 - 1e-14, 3.0 - 1e-14])
     assert info.value.reason == "singular"
+
+
+def test_power_systems_batch_verdicts_match_p_from_z():
+    # one carrier, one system per row: p_from_z raises on exactly the rows
+    # the batch marks, with the reason the mask names
+    r = reduce_scenario(sym2_scenario())
+    gamma = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [2.0, 0.0], [0.0, 0.0]])
+    q, inv, singular, negative = power_systems(r, gamma)
+    assert q.shape == (5, 2) and inv.shape == (5, 2, 2)
+    assert singular.tolist() == [False, True, False, False, False]
+    assert (negative & ~singular).tolist() == [False, False, True, False, False]
+    for row, qb, bad_s, bad_n in zip(gamma, q, singular, negative):
+        if bad_s or bad_n:
+            with pytest.raises(InconsistentSinrError) as info:
+                p_from_z(r, row + 1.0)
+            assert info.value.reason == ("singular" if bad_s else "negative")
+        else:
+            assert np.array_equal(qb, p_from_z(r, row + 1.0))
+
+
+def test_power_systems_rows_match_carrier_systems():
+    # rows of a multi-carrier problem are its carriers, solved as p_from_z does
+    rng = np.random.default_rng(23)
+    r = reduce_scenario(random_scenario(rng, num_cells=3, num_subcarriers=4))
+    q_in = rng.uniform(0.0, 1.0, size=r.dim) * r.cap_carrier.reshape(-1)
+    gamma = z_from_p(r, q_in) - 1.0
+    q, _, singular, negative = power_systems(r, gamma.reshape(3, 4).T)
+    assert not singular.any() and not negative.any()
+    assert np.array_equal(np.maximum(q.T.reshape(-1), 0.0), p_from_z(r, gamma + 1.0))
 
 
 def test_round_trip_random_instances():
