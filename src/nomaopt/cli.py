@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,8 +66,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
     return value
 
 
@@ -77,9 +78,13 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty list")
-    if any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError("values must be non-negative")
+    if not all(0 <= v < math.inf for v in values):
+        raise argparse.ArgumentTypeError("values must be non-negative and finite")
     return values
+
+
+def _positive_list(text: str) -> list[float]:
+    return [_positive_float(v) for v in _float_list(text)]
 
 
 def _out_path(path: str) -> str:
@@ -248,7 +253,7 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--caps", type=_float_list, required=True,
                    help="comma-separated per-carrier caps in watts")
-    p.add_argument("--epsilons", type=_float_list, required=True,
+    p.add_argument("--epsilons", type=_positive_list, required=True,
                    help="comma-separated gap targets")
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--threads", type=_positive_int, default=1,
@@ -266,7 +271,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="solver runtime vs epsilon")
     _add_config_flags(p)
-    p.add_argument("--epsilons", type=_float_list, required=True)
+    p.add_argument("--epsilons", type=_positive_list, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--out", required=True, help="bench CSV output path")
     p.set_defaults(func=cmd_bench)

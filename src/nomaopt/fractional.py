@@ -4,7 +4,7 @@ Rays, boundary points and powers are flat reduced arrays (length
 ``ReducedProblem.dim``, indexed by k * L + l), the form the polyblock
 loop keeps its vertices in. Along a ray, realizability of lambda * z is
 monotone in lambda, and testing it is one power-system solve per carrier
-plus a cap check (``reduction.solve_power_system``, the solve behind
+plus a cap check (``reduction.power_systems``, the solve behind
 ``p_from_z`` and ``membership``). The projection is a bracketed line
 search on lambda: the powers q(lambda) are a Neumann series in the
 SINRs gamma = max(lambda z, 1) - 1 with non-negative coefficients, so
@@ -33,12 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .reduction import (
-    InconsistentSinrError,
     ReducedProblem,
     _as_powers,
     _interference,
+    _over_cap,
+    initial_vertex,
     p_from_z,  # noqa: F401  (the benchmark tracer patches it under this name)
-    solve_power_system,
+    power_systems,
 )
 from .simplex import solve_canonical_max
 
@@ -203,14 +204,16 @@ def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, lam: float) -
     """
     z = np.maximum(lam * zc, 1.0)
     gamma = z - 1.0
-    try:
-        q, inv = solve_power_system(r, gamma)
-    except InconsistentSinrError:
-        return _Point(lam, z, None, math.nan, False)
-    h = float(np.max(q / np.where(caps > 0.0, caps, np.inf))) - 1.0
-    if not np.all(q <= caps):
-        return _Point(lam, z, q, h, False)
     K, L = r.gain_active.shape
+    q, inv, singular, negative = power_systems(r, gamma.reshape(K, L).T)
+    if singular.any() or negative.any():
+        return _Point(lam, z, None, math.nan, False)
+    q = q.T.reshape(-1)
+    if q.min() < 0.0:
+        q = np.maximum(q, 0.0)  # round-off within 1e-12 W below zero
+    h = float(np.max(q / np.where(caps > 0.0, caps, np.inf))) - 1.0
+    if np.any(_over_cap(r, q, 0.0)):
+        return _Point(lam, z, q, h, False)
     rate = np.divide(zc * q, gamma, out=np.zeros_like(q), where=gamma > 0.0)
     dq = np.matmul(inv, rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1)
     reach = np.divide(caps - q, dq, out=np.full_like(q, np.inf), where=dq > 0.0)
@@ -290,7 +293,7 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
         if q.shape[0] != r.dim or not np.all((q >= 0.0) & (q <= caps)):
             raise ValueError("start powers must lie within the carrier caps")
     ratios = compute_nd(r, q)[2]
-    hi = float(np.min((1.0 + r.gain_active.reshape(-1) * caps / r.scenario.noise_power) / zc))
+    hi = float(np.min(initial_vertex(r) / zc))
     lo = _evaluate(r, zc, caps, float(np.min(ratios / zc)))
     up = None
     evaluations = 1

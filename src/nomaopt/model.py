@@ -344,22 +344,43 @@ class DecodingOrder:
 def build_decoding_order(s: Scenario) -> DecodingOrder:
     order = []
     position = []
-    for k in range(s.num_cells):
-        off = s.global_user(k, 0)
-        m = s.users_per_cell[k]
-        own = s.gains[k, off : off + m, :]
-        per_l = []
-        pos_l = []
-        for l in range(s.num_subcarriers):
-            pi = tuple(int(u) for u in np.argsort(own[:, l], kind="stable"))
-            inv = [0] * m
-            for slot, u in enumerate(pi):
-                inv[u] = slot
-            per_l.append(pi)
-            pos_l.append(tuple(inv))
-        order.append(tuple(per_l))
-        position.append(tuple(pos_l))
+    for k, m in enumerate(s.users_per_cell):
+        off = s._user_offsets[k]
+        pi = np.argsort(s.gains[k, off : off + m, :], axis=0, kind="stable")
+        order.append(tuple(map(tuple, pi.T.tolist())))
+        position.append(tuple(map(tuple, np.argsort(pi, axis=0).T.tolist())))
     return DecodingOrder(order=tuple(order), position=tuple(position))
+
+
+def _check_length(s: Scenario, alloc: Allocation):
+    if alloc.size != s.size:
+        raise AllocationError(f"allocation length {alloc.size} does not match scenario size {s.size}")
+
+
+def _carrier_sums(s: Scenario, x: np.ndarray) -> np.ndarray:
+    """(K, L) sums of the canonical vector x over each (cell, carrier) slice."""
+    L = s.num_subcarriers
+    blocks = zip(s._block_offsets, s._block_offsets[1:], s.users_per_cell)
+    return np.stack([np.add.reduce(x[a:b].reshape(L, m), axis=1) for a, b, m in blocks])
+
+
+def _sinr(s: Scenario, order: DecodingOrder, p, carrier_power, k: int, l: int, u: int):
+    """SINR of user u of cell k on carrier l at canonical powers p whose
+    (K, L) carrier sums are carrier_power."""
+    block = p[s.carrier_slice(k, l)]
+    p_i = block[u]
+    if p_i == 0.0:
+        return 0.0
+    gu = s._user_offsets[k] + u
+    g_own = s.gains[k, gu, l]
+    intra = 0.0
+    for v in order.order[k][l][order.position[k][l][u] + 1 :]:
+        intra += block[v]
+    inter = 0.0
+    for j in range(s.num_cells):
+        if j != k:
+            inter += s.gains[j, gu, l] * carrier_power[j, l]
+    return g_own * p_i / (g_own * intra + inter + s.noise_power)
 
 
 def sinr(s: Scenario, order: DecodingOrder, alloc: Allocation, i: int) -> float:
@@ -369,48 +390,48 @@ def sinr(s: Scenario, order: DecodingOrder, alloc: Allocation, i: int) -> float:
     user, plus the total power every other base station spends on the same
     sub-carrier, plus noise. A zero-power entry has SINR zero.
     """
-    if alloc.size != s.size:
-        raise AllocationError(f"allocation length {alloc.size} does not match scenario size {s.size}")
+    _check_length(s, alloc)
     k, l, u = s.triplet(i)
-    p_i = alloc.p[i]
-    if p_i == 0.0:
-        return 0.0
-    gu = s.global_user(k, u)
-    g_own = s.gains[k, gu, l]
-    slot = order.position[k][l][u]
-    block = alloc.p[s.carrier_slice(k, l)]
-    intra = 0.0
-    for v in order.order[k][l][slot + 1 :]:
-        intra += block[v]
-    inter = 0.0
-    for j in range(s.num_cells):
-        if j == k:
-            continue
-        inter += s.gains[j, gu, l] * float(np.sum(alloc.p[s.carrier_slice(j, l)]))
-    return g_own * p_i / (g_own * intra + inter + s.noise_power)
+    return _sinr(s, order, alloc.p, _carrier_sums(s, alloc.p), k, l, u)
 
 
 def sum_rate(s: Scenario, order: DecodingOrder, alloc: Allocation) -> float:
     """Weighted sum rate in nats: sum_i w_i a_i log(1 + SINR_i)."""
-    w = s.canonical_weights()
+    _check_length(s, alloc)
+    carrier_power = _carrier_sums(s, alloc.p)
     total = 0.0
-    for i in range(s.size):
-        if alloc.a[i]:
-            total += w[i] * math.log1p(sinr(s, order, alloc, i))
+    for i in np.flatnonzero(alloc.a).tolist():
+        k, l, u = s.triplet(i)
+        w = s.weights[s._user_offsets[k] + u]
+        total += w * math.log1p(_sinr(s, order, alloc.p, carrier_power, k, l, u))
     return total
 
 
-def _pair_margin(s: Scenario, k: int, l: int, weak_u: int, strong_u: int, p_cross) -> float:
-    gw = s.gains[k, s.global_user(k, weak_u), l]
-    gs = s.gains[k, s.global_user(k, strong_u), l]
-    total = (gs - gw) * s.noise_power
-    for j in range(s.num_cells):
-        if j == k:
-            continue
-        cw = s.gains[j, s.global_user(k, weak_u), l]
-        cs = s.gains[j, s.global_user(k, strong_u), l]
-        total += (gs * cw - gw * cs) * p_cross[j]
-    return float(total)
+def _pair_terms(k: int, weak: list, strong: list):
+    """For two users of cell k decode-ordered on one carrier, given their
+    gains from every base station as lists of floats: the serving gains
+    gw, gs and, over the interfering cells j != k in cell order, the
+    products gs * g_j(weak) and gw * g_j(strong) of the SIC condition."""
+    gw, gs = weak[k], strong[k]
+    tw, ts = [gs * g for g in weak], [gw * g for g in strong]
+    del tw[k], ts[k]
+    return gw, gs, tw, ts
+
+
+def _pair_margin(s: Scenario, k: int, l: int, weak_u: int, strong_u: int, p_cross: np.ndarray):
+    """gw, gs, the SIC margin of the pair at cross powers p_cross and the
+    scale its round-off is judged against, each summed left to right: the
+    noise term first, then the interfering cells in order."""
+    weak = s.gains[:, s.global_user(k, weak_u), l].tolist()
+    strong = s.gains[:, s.global_user(k, strong_u), l].tolist()
+    gw, gs, tw, ts = _pair_terms(k, weak, strong)
+    p = p_cross.tolist()
+    margin = (gs - gw) * s.noise_power
+    scale = (gs + gw) * s.noise_power
+    for a, b, pj in zip(tw, ts, p[:k] + p[k + 1 :]):
+        margin += (a - b) * pj
+        scale += (a + b) * pj
+    return gw, gs, margin, scale
 
 
 def sic_pair_margin(s: Scenario, k: int, l: int, weak_u: int, strong_u: int, p_cross) -> float:
@@ -426,13 +447,12 @@ def sic_pair_margin(s: Scenario, k: int, l: int, weak_u: int, strong_u: int, p_c
     p_cross = np.asarray(p_cross, dtype=float)
     if p_cross.shape != (s.num_cells,):
         raise ValueError(f"p_cross must have one entry per cell, got shape {p_cross.shape}")
-    gw = s.gains[k, s.global_user(k, weak_u), l]
-    gs = s.gains[k, s.global_user(k, strong_u), l]
+    gw, gs, margin, _ = _pair_margin(s, k, l, weak_u, strong_u, p_cross)
     if not gw < gs:
         raise ValueError(
             f"users ({weak_u}, {strong_u}) of cell {k} are not strictly gain-ordered on carrier {l}"
         )
-    return _pair_margin(s, k, l, weak_u, strong_u, p_cross)
+    return float(margin)
 
 
 def sic_always_feasible(s: Scenario) -> bool:
@@ -444,23 +464,16 @@ def sic_always_feasible(s: Scenario) -> bool:
     Comparisons allow relative round-off on the gain products.
     """
     order = build_decoding_order(s)
-    for k in range(s.num_cells):
-        m = s.users_per_cell[k]
+    for k, m in enumerate(s.users_per_cell):
+        off = s._user_offsets[k]
         for l in range(s.num_subcarriers):
+            gains = s.gains[:, off : off + m, l].T.tolist()  # per user, from every base station
             pi = order.order[k][l]
-            for ai in range(m):
-                for bi in range(ai + 1, m):
-                    weak, strong = pi[ai], pi[bi]
-                    gw = s.gains[k, s.global_user(k, weak), l]
-                    gs = s.gains[k, s.global_user(k, strong), l]
-                    for j in range(s.num_cells):
-                        if j == k:
-                            continue
-                        cw = s.gains[j, s.global_user(k, weak), l]
-                        cs = s.gains[j, s.global_user(k, strong), l]
-                        t1 = gs * cw
-                        t2 = gw * cs
-                        if t1 - t2 < -1e-12 * (t1 + t2):
+            for ai, weak in enumerate(pi):
+                for strong in pi[ai + 1 :]:
+                    _, _, tw, ts = _pair_terms(k, gains[weak], gains[strong])
+                    for a, b in zip(tw, ts):
+                        if a - b < -1e-12 * (a + b):
                             return False
     return True
 
@@ -515,16 +528,10 @@ def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
 
     Power caps get a relative round-off slack of 1e-12 of the cap, the
     same slack Scenario validation allows between caps."""
-    if alloc.size != s.size:
-        raise AllocationError(f"allocation length {alloc.size} does not match scenario size {s.size}")
+    _check_length(s, alloc)
     K, L = s.num_cells, s.num_subcarriers
-    carrier_power = np.zeros((K, L))
-    active_count = np.zeros((K, L), dtype=int)
-    for k in range(K):
-        for l in range(L):
-            sl = s.carrier_slice(k, l)
-            carrier_power[k, l] = float(np.sum(alloc.p[sl]))
-            active_count[k, l] = int(np.sum(alloc.a[sl]))
+    carrier_power = _carrier_sums(s, alloc.p)
+    active_count = _carrier_sums(s, alloc.a)
     cell_power = carrier_power.sum(axis=1)
 
     violations: list[Violation] = []
@@ -555,34 +562,22 @@ def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
                 )
             )
 
-    order = build_decoding_order(s)
-    for k in range(K):
-        for l in range(L):
-            sl = s.carrier_slice(k, l)
-            active = [u for u in range(s.users_per_cell[k]) if alloc.a[sl][u]]
-            if len(active) < 2:
-                continue
-            by_slot = sorted(active, key=lambda u: order.position[k][l][u])
-            for ai in range(len(by_slot)):
-                for bi in range(ai + 1, len(by_slot)):
-                    weak, strong = by_slot[ai], by_slot[bi]
-                    margin = _pair_margin(s, k, l, weak, strong, carrier_power[:, l])
-                    gw = s.gains[k, s.global_user(k, weak), l]
-                    gs = s.gains[k, s.global_user(k, strong), l]
-                    scale = (gs + gw) * s.noise_power
-                    for j in range(K):
-                        if j != k:
-                            cw = s.gains[j, s.global_user(k, weak), l]
-                            cs = s.gains[j, s.global_user(k, strong), l]
-                            scale += (gs * cw + gw * cs) * carrier_power[j, l]
-                    if margin < -1e-12 * scale:
-                        violations.append(
-                            Violation(
-                                "sic_condition", k, l, float(-margin),
-                                f"users ({weak}, {strong}) cannot be jointly decoded "
-                                f"(margin {margin:.6g})",
-                            )
+    multiplexed = np.argwhere(active_count > 1).tolist()
+    order = build_decoding_order(s) if multiplexed else None
+    for k, l in multiplexed:
+        start = s.carrier_slice(k, l).start
+        by_slot = [u for u in order.order[k][l] if alloc.a[start + u]]
+        for ai, weak in enumerate(by_slot):
+            for strong in by_slot[ai + 1 :]:
+                _, _, margin, scale = _pair_margin(s, k, l, weak, strong, carrier_power[:, l])
+                if margin < -1e-12 * scale:
+                    violations.append(
+                        Violation(
+                            "sic_condition", k, l, float(-margin),
+                            f"users ({weak}, {strong}) cannot be jointly decoded "
+                            f"(margin {margin:.6g})",
                         )
+                    )
     return FeasibilityReport(
         violations=tuple(violations),
         carrier_power=_frozen_array(carrier_power),

@@ -57,8 +57,11 @@ from .model import (
     sum_rate,
 )
 from .reduction import (
+    _CAP_RTOL,
     ReducedProblem,
+    _over_cap,
     allocation_from_powers,
+    initial_vertex,
     power_systems,
     reduce_scenario,
 )
@@ -78,10 +81,6 @@ __all__ = [
 MAX_ITERATIONS = 100_000
 MAX_VERTICES = 1_000_000
 
-# relative round-off slack of the reduce step's cap test and lowered bound,
-# the slack ``reduction.membership`` gives the caps
-_CAP_RTOL = 1e-9
-
 
 class TraceRow(NamedTuple):
     iteration: int
@@ -96,7 +95,10 @@ class SolveResult:
     ``sum_rate_nats`` is recomputed from the allocation through the full
     system model, not read off the internal objective. ``upper_bound`` is a
     valid bound on the global optimum whenever present; ``certified`` is
-    true when upper_bound - sum_rate_nats <= epsilon was established.
+    true when upper_bound - sum_rate_nats <= epsilon was established, up
+    to round-off: a carrier group whose vertices are all gone reports the
+    float lb + epsilon / L as its bound, so the gap can pass epsilon by a
+    few ulps of the bound.
     ``status`` is "optimal", "budget_exceeded", or "heuristic". ``z`` is
     the read-only flat reduced array of shifted SINRs; ``to_json_dict``
     alone expands it to canonical length, zero off the served entries.
@@ -148,17 +150,6 @@ class SolveResult:
         }
 
 
-def initial_vertex(r: ReducedProblem) -> np.ndarray:
-    """Box corner ignoring interference, as a flat reduced array.
-
-    Every realizable point is dominated by it: no coordinate can beat the
-    interference-free SINR of its own carrier cap (Scenario validation
-    keeps the carrier caps within the cell cap), so a zero-cap carrier
-    starts (and stays) at 1.
-    """
-    return (1.0 + r.gain_active * r.cap_carrier / r.scenario.noise_power).reshape(-1)
-
-
 def generate_children(parent: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """One child per coordinate where ``upper`` exceeds 1, that coordinate lowered.
 
@@ -200,12 +191,10 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
     slack = 4.0 * (children.shape[1] + 2) * np.finfo(float).eps * (1.0 + abs(t) + f)
     a = np.maximum(np.exp(t - f + logs - slack), 1.0)
     q, _, singular, negative = power_systems(r, a - 1.0)
-    caps = r.cap_carrier.reshape(-1)
-    noise = r.scenario.noise_power
-    over = np.any(q > caps * (1.0 + _CAP_RTOL) + _CAP_RTOL * noise, axis=1)
+    over = np.any(_over_cap(r, q), axis=1)
     scale, cross = r._system
-    den = scale * noise + np.maximum(q, 0.0) @ cross[0].T
-    bound = 1.0 + caps / den * (1.0 + _CAP_RTOL)
+    den = scale * r.scenario.noise_power + np.maximum(q, 0.0) @ cross[0].T
+    bound = 1.0 + r.cap_carrier.reshape(-1) / den * (1.0 + _CAP_RTOL)
     keep = singular | (f[:, 0] <= t)
     lowered = np.where(keep[:, None], children, np.minimum(children, bound))
     return lowered[keep | ~(negative | over)]

@@ -32,7 +32,6 @@ __all__ = [
     "reduce_scenario",
     "z_from_p",
     "p_from_z",
-    "solve_power_system",
     "power_systems",
     "objective",
     "membership",
@@ -42,6 +41,8 @@ __all__ = [
 
 # snap tolerance for z entries a hair below their lower bound of 1
 _Z_SNAP = 1e-9
+# relative round-off slack on the carrier caps (``_over_cap``)
+_CAP_RTOL = 1e-9
 
 
 class UnsupportedWeightsError(ValueError):
@@ -178,28 +179,28 @@ def z_from_p(r: ReducedProblem, q) -> np.ndarray:
     return 1.0 + r.gain_active.reshape(-1) * q / den
 
 
+def initial_vertex(r: ReducedProblem) -> np.ndarray:
+    """Box corner ignoring interference, as a flat reduced array.
+
+    Every realizable point is dominated by it: no coordinate can beat the
+    interference-free SINR of its own carrier cap (Scenario validation
+    keeps the carrier caps within the cell cap), so a zero-cap carrier
+    starts (and stays) at 1.
+    """
+    return (1.0 + r.gain_active * r.cap_carrier / r.scenario.noise_power).reshape(-1)
+
+
 def p_from_z(r: ReducedProblem, z) -> np.ndarray:
     """Unique reduced powers realizing the flat shifted SINRs z, flat (K*L,) watts.
 
-    z is checked as the module docstring says. Entries
-    with z = 1 take zero power; the rest is ``solve_power_system`` at
-    SINRs z - 1, which raises InconsistentSinrError("singular") or
-    InconsistentSinrError("negative") when no such powers exist.
-    """
-    return solve_power_system(r, _as_sinrs(z, r.dim) - 1.0)[0]
-
-
-def solve_power_system(r: ReducedProblem, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """Powers giving each flat reduced entry SINR gamma, with each carrier's inverse.
-
-    ``power_systems`` with carrier l as system l. Returns the flat powers
-    (K*L,), entries in [-1e-12, 0) clamped to 0, and A^-1 stacked per
-    carrier (L, K, K). The first singular carrier raises
-    InconsistentSinrError("singular"); failing that, a power below
-    -1e-12 W raises InconsistentSinrError("negative").
+    z is checked as the module docstring says. Each carrier is one of
+    ``power_systems`` at SINRs z - 1, so entries with z = 1 take zero
+    power, and powers in [-1e-12, 0) are clamped to 0. The first singular
+    carrier raises InconsistentSinrError("singular"); failing that, a
+    power below -1e-12 W raises InconsistentSinrError("negative").
     """
     K, L = r.gain_active.shape
-    q, inv, singular, negative = power_systems(r, np.asarray(gamma, dtype=float).reshape(K, L).T)
+    q, inv, singular, negative = power_systems(r, (_as_sinrs(z, r.dim) - 1.0).reshape(K, L).T)
     if singular.any():
         l = int(np.argmax(singular))
         pivot = 1.0 / np.abs(np.diagonal(inv[l])).max()
@@ -213,9 +214,7 @@ def solve_power_system(r: ReducedProblem, gamma) -> tuple[np.ndarray, np.ndarray
             f"SINR vector needs negative power {q[low]:.6g} W in cell {low // L} on carrier {low % L}",
             reason="negative",
         )
-    if q[low] < 0.0:
-        q = np.maximum(q, 0.0)
-    return q, inv
+    return np.maximum(q, 0.0) if q[low] < 0.0 else q
 
 
 def power_systems(
@@ -285,21 +284,26 @@ def objective(z, weights=None) -> float:
     return float(w @ np.log(_as_sinrs(z, w.shape[0])))
 
 
-def membership(r: ReducedProblem, z, tol: float = 1e-9) -> bool:
+def _over_cap(r: ReducedProblem, q: np.ndarray, tol: float = _CAP_RTOL) -> np.ndarray:
+    """Where the flat reduced powers q (rows of K*L, or of K when r has one
+    carrier) exceed their carrier caps beyond relative slack tol, and tol
+    times the noise power for zero caps."""
+    return q > r.cap_carrier.reshape(-1) * (1.0 + tol) + tol * r.scenario.noise_power
+
+
+def membership(r: ReducedProblem, z, tol: float = _CAP_RTOL) -> bool:
     """True when the flat shifted SINRs z are realizable within the power caps.
 
     z is checked as in ``p_from_z``. Realizable means p_from_z succeeds
-    and the powers respect the per-carrier caps, with relative slack tol
-    for round-off. Scenario validation keeps the carrier caps within each
+    and no power exceeds its carrier cap beyond the round-off slack tol of
+    ``_over_cap``. Scenario validation keeps the carrier caps within each
     cell cap, so the cell caps hold as well.
     """
     try:
         q = p_from_z(r, z)
     except InconsistentSinrError:
         return False
-    slack = tol * r.scenario.noise_power
-    qm = q.reshape(r.gain_active.shape)
-    return not np.any(qm > r.cap_carrier * (1.0 + tol) + slack)
+    return not np.any(_over_cap(r, q, tol))
 
 
 def sum_rate_from_powers(r: ReducedProblem, q) -> float:

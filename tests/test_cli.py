@@ -233,6 +233,23 @@ def test_solve_usage_errors_exit_one(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == EXIT_USAGE
+    for bad in ["inf", "1e400", "nan", "0"]:
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--scenario", "x.json", "--epsilon", bad, "--out", "r.json"])
+        assert info.value.code == EXIT_USAGE
+    out = str(tmp_path / "out.csv")
+    for bad in ["0", "inf", "nan", "0.1,-1"]:
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--caps", "1e-7", "--epsilons", bad, "--trials", "1", "--out", out])
+        assert info.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--epsilons", bad, "--trials", "1", "--out", out])
+        assert info.value.code == EXIT_USAGE
+    for bad in ["nan", "inf", "1e-7,-1e400"]:
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--caps", bad, "--epsilons", "0.5", "--trials", "1", "--out", out])
+        assert info.value.code == EXIT_USAGE
+    assert not (tmp_path / "out.csv").exists()
 
 
 # -- sweep, cdf, bench -------------------------------------------------------------
