@@ -61,6 +61,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _grid_points(text: str) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 grid points: {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -194,8 +201,9 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     s = _load_scenario(args.scenario)
-    result = solve(s, args.epsilon)
+    # the grid first: it rejects instances too large for it before the solve runs
     grid = grid_optimum(s, args.grid)
+    result = solve(s, args.epsilon)
     gap = abs(result.sum_rate_nats - grid.value)
     tolerance = args.epsilon + grid.error_bound
     verdict = "pass" if result.status == "optimal" and gap <= tolerance else "fail"
@@ -278,8 +286,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="cross-check the solver against the grid search")
     p.add_argument("--scenario", required=True, help="scenario JSON input path")
-    p.add_argument("--grid", type=_positive_int, default=400,
-                   help="grid points per power coordinate (default 400)")
+    p.add_argument("--grid", type=_grid_points, default=400,
+                   help="grid points per power coordinate, at least 2 (default 400)")
     p.add_argument("--epsilon", type=_positive_float, default=0.01,
                    help="solver gap target (default 0.01)")
     p.add_argument("--out", required=True, help="report JSON output path")

@@ -22,15 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, Scenario, build_decoding_order, check_feasible, sic_always_feasible, sum_rate
+from .model import Scenario
+
+# unused here: the benchmark tracer patches the model calls under these names
+from .model import build_decoding_order, check_feasible, sic_always_feasible, sum_rate  # noqa: F401
 from .polyblock import SolveResult
-from .reduction import (
-    ReducedProblem,
-    allocation_from_powers,
-    reduce_scenario,
-    sum_rate_from_powers,
-    z_from_p,
-)
+from .reduction import ReducedProblem, reduce_scenario, sum_rate_from_powers, z_from_p
 
 __all__ = ["GridOptimum", "grid_optimum", "baseline_full_power", "baseline_greedy"]
 
@@ -176,36 +173,16 @@ def _probe_lipschitz(r: ReducedProblem, caps: np.ndarray, best_q: np.ndarray) ->
     return worst
 
 
-def _heuristic_result(
-    s: Scenario, r: ReducedProblem, q: np.ndarray, algorithm: str, iterations: int, t0: float
-) -> SolveResult:
-    alloc = allocation_from_powers(r, q)
-    order = build_decoding_order(s)
-    nats = sum_rate(s, order, alloc)
-    return SolveResult(
-        algorithm=algorithm,
-        allocation=alloc,
-        z=z_from_p(r, q),
-        sum_rate_nats=nats,
-        sum_rate_bits=nats / LN2,
-        epsilon=None,
-        iterations=iterations,
-        projections=0,
-        wall_time_s=time.perf_counter() - t0,
-        upper_bound=None,
-        certified=False,
-        status="heuristic",
-        sic_flag=sic_always_feasible(s),
-        feasibility=check_feasible(s, alloc),
-        trace=(),
-    )
+# the fixed result fields of a declared heuristic
+_HEURISTIC = dict(epsilon=None, projections=0, upper_bound=None, certified=False, status="heuristic", trace=())
 
 
 def baseline_full_power(s: Scenario) -> SolveResult:
     """Declared stand-in baseline: every carrier at its power cap."""
     t0 = time.perf_counter()
     r = reduce_scenario(s)
-    return _heuristic_result(s, r, r.cap_carrier.reshape(-1), "full-power", 0, t0)
+    q = r.cap_carrier.reshape(-1)
+    return SolveResult.from_powers(r, q, z_from_p(r, q), t0, algorithm="full-power", iterations=0, **_HEURISTIC)
 
 
 def _golden_max(fun, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -260,4 +237,4 @@ def baseline_greedy(s: Scenario, sweeps: int = 50, stall_tol: float = 1e-6) -> S
                     f = cand_v
         if gained < stall_tol:
             break
-    return _heuristic_result(s, r, q, "greedy", used, t0)
+    return SolveResult.from_powers(r, q, z_from_p(r, q), t0, algorithm="greedy", iterations=used, **_HEURISTIC)

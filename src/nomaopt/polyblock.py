@@ -125,6 +125,27 @@ class SolveResult:
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
 
+    @classmethod
+    def from_powers(cls, r: ReducedProblem, q, z, t0: float, **fields) -> SolveResult:
+        """Result of a run begun at perf_counter t0 and ended at the flat reduced
+        powers q with shifted SINRs z, scored through the full system model;
+        the wall time is taken before the SIC flag and feasibility report.
+        ``fields`` are the run's own: algorithm, epsilon, iterations,
+        projections, upper_bound, certified, status and trace."""
+        s = r.scenario
+        alloc = allocation_from_powers(r, q)
+        nats = sum_rate(s, build_decoding_order(s), alloc)
+        return cls(
+            allocation=alloc,
+            z=z,
+            sum_rate_nats=nats,
+            sum_rate_bits=nats / LN2,
+            wall_time_s=time.perf_counter() - t0,
+            sic_flag=sic_always_feasible(s),
+            feasibility=check_feasible(s, alloc),
+            **fields,
+        )
+
     def to_json_dict(self) -> dict:
         active = np.flatnonzero(self.allocation.a)
         z = np.zeros(self.allocation.size)
@@ -225,8 +246,11 @@ class _VertexSet:
         self._q[self.count] = q
         self.count += 1
 
-    def pop(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Remove vertex idx; returns its values and start powers."""
+    def pop_best(self) -> tuple[np.ndarray, np.ndarray]:
+        """Remove a vertex of the largest value, ties to the lexicographically
+        largest values; returns its values and start powers."""
+        f = self._f[: self.count]
+        idx = max(np.flatnonzero(f == f.max()).tolist(), key=lambda i: tuple(self._z[i]))
         zc, q = self._z[idx].copy(), self._q[idx].copy()
         last = self.count - 1
         if idx != last:
@@ -242,15 +266,6 @@ class _VertexSet:
         view = self._z[: self.count]
         return bool(np.any(np.all(view >= zc, axis=1)))
 
-    def argmax_lex(self) -> tuple[int, float]:
-        f = self._f[: self.count]
-        best = float(f.max())
-        ties = np.flatnonzero(f == best)
-        if ties.size == 1:
-            return int(ties[0]), best
-        idx = max((int(i) for i in ties), key=lambda i: tuple(self._z[i]))
-        return idx, best
-
     def max_value(self) -> float:
         return float(self._f[: self.count].max())
 
@@ -263,9 +278,6 @@ class _VertexSet:
             self._f[:kept] = self._f[: self.count][mask]
             self._q[:kept] = self._q[: self.count][mask]
             self.count = kept
-
-    def row(self, idx: int) -> np.ndarray:
-        return self._z[idx].copy()
 
 
 def _carrier_problem(r: ReducedProblem, l: int) -> ReducedProblem:
@@ -347,8 +359,7 @@ class _CarrierSearch:
         its children, cut at the certified unrealizable scale
         ``lam_upper`` and then reduced against ``lb + tol``; they inherit
         the projection's powers as their start."""
-        sel_idx, _ = self.store.argmax_lex()
-        parent, start = self.store.pop(sel_idx)
+        parent, start = self.store.pop_best()
 
         proj = dinkelbach_project(self.r, parent, start=start)
         f_proj = float(np.sum(np.log(proj.z_proj)))
@@ -369,6 +380,15 @@ class _CarrierSearch:
             self.ub = self.store.max_value()
         else:
             self.ub = max(self.lb, self.store.dropped_max)
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum: the built-in ``sum`` compensates round-off
+    from Python 3.12 on, so bounds would depend on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def solve(
@@ -404,49 +424,34 @@ def solve(
     while True:
         gaps = [g.m * (g.ub - g.lb) for g in groups]
         refinable = [i for i, g in enumerate(groups) if g.store.count]
-        if not refinable or sum(gaps) <= epsilon:
+        if not refinable or _sum(gaps) <= epsilon:
             break
         if iterations >= max_iterations or sum(g.store.count for g in groups) >= max_vertices:
             status = "budget_exceeded"
             certified = False
             break
-        upper = sum(g.m * g.ub for g in groups)
+        upper = _sum(g.m * g.ub for g in groups)
         iterations += 1
         groups[max(refinable, key=gaps.__getitem__)].refine()
-        trace.append(TraceRow(iterations, upper, sum(g.m * g.lb for g in groups)))
+        trace.append(TraceRow(iterations, upper, _sum(g.m * g.lb for g in groups)))
 
-    f_best = sum(g.m * g.lb for g in groups)
-    upper = sum(g.m * g.ub for g in groups)
+    f_best = _sum(g.m * g.lb for g in groups)
     q = np.zeros((K, L))
     zc = np.ones((K, L))
     for g in groups:
         q[:, g.carriers] = g.best_q[:, None]
         zc[:, g.carriers] = g.best_c[:, None]
-    alloc = allocation_from_powers(r, q.reshape(-1))
-    order = build_decoding_order(s)
-    nats = sum_rate(s, order, alloc)
-    if abs(nats - f_best) > 1e-6:
-        raise RuntimeError(
-            f"internal objective {f_best!r} and model sum rate {nats!r} disagree"
-        )
-    wall = time.perf_counter() - t0
-    return SolveResult(
-        algorithm="polyblock",
-        allocation=alloc,
-        z=zc.reshape(-1),
-        sum_rate_nats=nats,
-        sum_rate_bits=nats / LN2,
-        epsilon=float(epsilon),
-        iterations=iterations,
-        projections=iterations,
-        wall_time_s=wall,
-        upper_bound=float(upper),
-        certified=certified,
-        status=status,
-        sic_flag=sic_always_feasible(s),
-        feasibility=check_feasible(s, alloc),
-        trace=tuple(trace),
+    upper = _sum(g.m * g.ub for g in groups)
+    result = SolveResult.from_powers(
+        r, q.reshape(-1), zc.reshape(-1), t0, algorithm="polyblock", epsilon=float(epsilon),
+        iterations=iterations, projections=iterations, upper_bound=float(upper),
+        certified=certified, status=status, trace=tuple(trace),
     )
+    if abs(result.sum_rate_nats - f_best) > 1e-6:
+        raise RuntimeError(
+            f"internal objective {f_best!r} and model sum rate {result.sum_rate_nats!r} disagree"
+        )
+    return result
 
 
 def write_trace_csv(trace, path):

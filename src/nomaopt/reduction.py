@@ -109,33 +109,31 @@ def reduce_scenario(s: Scenario) -> ReducedProblem:
     if np.any(s.weights != 1.0):
         raise UnsupportedWeightsError("the reduction requires all rate weights equal to 1")
     K, L = s.num_cells, s.num_subcarriers
-    best = np.zeros((K, L), dtype=np.int64)
-    g_act = np.zeros((K, L))
-    g_cross = np.zeros((K, L, K))
-    active = []
-    for k in range(K):
-        off = s.global_user(k, 0)
-        own = s.gains[k, off : off + s.users_per_cell[k], :]
-        for l in range(L):
-            u = int(np.argmax(own[:, l]))
-            best[k, l] = u
-            g_act[k, l] = own[u, l]
-            gu = s.global_user(k, u)
-            for j in range(K):
-                if j != k:
-                    g_cross[k, l, j] = s.gains[j, gu, l]
-            active.append(s.flat_index(k, l, u))
+    M = s.users_per_cell
+    first = [s.global_user(k, 0) for k in range(K)]
+    # argmax returns the first maximum: ties go to the lowest user index
+    best = np.array(
+        [s.gains[k, f : f + m].argmax(axis=0) for k, f, m in zip(range(K), first, M)], dtype=np.int64
+    )
+    # gathered[j, k, l]: gain from BS j to the user cell k serves on carrier l
+    gathered = s.gains[:, np.array(first)[:, None] + best, np.arange(L)]
+    cells = np.arange(K)
+    g_act = gathered[cells, cells]
+    g_cross = gathered.transpose(1, 2, 0).copy()
+    g_cross[cells, :, cells] = 0.0
+    starts = np.array([s.flat_index(k, 0, 0) for k in range(K)])
+    active = (starts[:, None] + np.array(M)[:, None] * np.arange(L) + best).reshape(-1)
     best.setflags(write=False)
     g_act.setflags(write=False)
     g_cross.setflags(write=False)
     order = np.argsort(active)
     if not np.all(order == np.arange(len(active))):
-        # canonical order is cell-major then carrier, same as our fill order
+        # canonical order is cell-major then carrier, as in the flat reduced vectors
         raise AssertionError("active indices not in canonical order")
     return ReducedProblem(
         scenario=s,
         best_user=best,
-        active=tuple(active),
+        active=tuple(active.tolist()),
         gain_active=g_act,
         gain_cross=g_cross,
         cap_carrier=s.subcarrier_cap,

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nomaopt import cli
 from nomaopt.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
 from nomaopt.model import Scenario
@@ -245,6 +246,10 @@ def test_solve_usage_errors_exit_one(tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["bench", "--epsilons", bad, "--trials", "1", "--out", out])
         assert info.value.code == EXIT_USAGE
+    for bad in ["1", "0"]:
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", "--scenario", "x.json", "--grid", bad, "--out", "r.json"])
+        assert info.value.code == EXIT_USAGE
     for bad in ["nan", "inf", "1e-7,-1e400"]:
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--caps", bad, "--epsilons", "0.5", "--trials", "1", "--out", out])
@@ -351,6 +356,22 @@ def test_oracle_rejects_large_instances(tmp_path, capsys):
     code = main(["oracle", "--scenario", str(scen), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_INVALID
     assert "at most 4" in capsys.readouterr().err
+
+
+def test_oracle_rejects_large_instances_before_solving(tmp_path, capsys, monkeypatch):
+    # 2 cells times 3 carriers is 6 power coordinates, past the grid's 4
+    scen = tmp_path / "wide.json"
+    s = generate_scenario(RadioConfig(num_cells=2, num_subcarriers=3, users_per_cell=2))
+    scen.write_text(s.to_json() + "\n")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("oracle solved an instance the grid rejects")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code = main(["oracle", "--scenario", str(scen), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_INVALID
+    assert "at most 4" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 # -- output redirection ----------------------------------------------------------

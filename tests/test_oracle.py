@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from nomaopt.experiments import RadioConfig, generate_scenario
 from nomaopt.oracle import baseline_full_power, baseline_greedy, grid_optimum
+from nomaopt.polyblock import solve
 from nomaopt.reduction import reduce_scenario, sum_rate_from_powers
 
 from conftest import k1_scenario, make_scenario, random_scenario, sym2_scenario
@@ -144,3 +146,37 @@ def test_greedy_iteration_count_and_stall():
     one = baseline_greedy(s, sweeps=1)
     assert one.iterations == 1
     assert one.sum_rate_nats <= res.sum_rate_nats + 1e-12
+
+
+# -- the shared result builder ---------------------------------------------------
+
+
+def test_baselines_carry_the_fixed_heuristic_fields():
+    rng = np.random.default_rng(109)
+    for _ in range(4):
+        s = random_scenario(rng, num_cells=2, num_subcarriers=2)
+        for res in (baseline_full_power(s), baseline_greedy(s)):
+            assert res.status == "heuristic"
+            assert res.certified is False
+            assert res.upper_bound is None
+            assert res.epsilon is None
+            assert res.projections == 0
+            assert res.trace == ()
+
+
+def test_solve_and_full_power_agree_where_full_power_is_optimal():
+    # with one cell there is no interference, so full power is the optimum
+    # and both runs score the same allocation through the same builder
+    for L in (1, 2, 3):
+        for users in (1, 3):
+            s = generate_scenario(
+                RadioConfig(num_cells=1, num_subcarriers=L, users_per_cell=users, fading=True), seed=[L, users]
+            )
+            pb, fp = solve(s, 0.01), baseline_full_power(s)
+            assert np.array_equal(pb.allocation.a, fp.allocation.a)
+            assert np.array_equal(pb.allocation.p, fp.allocation.p)
+            assert pb.sum_rate_nats == fp.sum_rate_nats
+            assert pb.sum_rate_bits == fp.sum_rate_bits
+            assert pb.sic_flag == fp.sic_flag
+            assert pb.feasibility.to_json_dict() == fp.feasibility.to_json_dict()
+

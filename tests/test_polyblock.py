@@ -21,6 +21,7 @@ from nomaopt.polyblock import (
     _carrier_groups,
     _carrier_problem,
     _CarrierSearch,
+    _sum,
     _VertexSet,
     generate_children,
     initial_vertex,
@@ -135,40 +136,49 @@ def test_prune_equal_vertex_is_covered():
     assert store.covers(np.array([2.0, 3.0]))
 
 
+def _drain(store):
+    """Every stored (values, start powers) pair, in pop_best order."""
+    popped = []
+    while store.count:
+        zc, q = store.pop_best()
+        popped.append((tuple(zc), tuple(q)))
+    return popped
+
+
 def test_prune_applies_value_threshold():
     # objectives log 6 ~ 1.79, log 4 ~ 1.39, log 9 ~ 2.20
     store = _store([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0]])
     store.prune_value(math.log(4.0))
     assert store.count == 2
-    assert {tuple(store.row(i)) for i in range(store.count)} == {(2.0, 3.0), (3.0, 3.0)}
+    assert [zc for zc, _ in _drain(store)] == [(3.0, 3.0), (2.0, 3.0)]
+    store = _store([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0]])
     store.prune_value(math.log(9.0))
     assert store.count == 0
 
 
 def test_start_powers_move_with_their_vertex():
-    store = _store([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0], [4.0, 1.0]])
+    # the best vertex comes first, so popping it moves the last one into its slot
+    store = _store([[3.0, 3.0], [2.0, 2.0], [2.0, 3.0], [4.0, 1.0]])
     assert store.dropped_max == -math.inf
     store.prune_value(math.log(4.0))
     assert store.dropped_max == math.log(4.0)
-    zc, q = store.pop(0)
-    assert np.array_equal(q, zc - 1.0)
-    while store.count:
-        zc, q = store.pop(store.count - 1)
-        assert np.array_equal(q, zc - 1.0)
+    popped = _drain(store)
+    assert [zc for zc, _ in popped] == [(3.0, 3.0), (2.0, 3.0)]
+    for zc, q in popped:
+        assert np.array_equal(q, np.array(zc) - 1.0)
     # pruning an empty store drops nothing
     store.prune_value(10.0)
     assert store.dropped_max == math.log(4.0)
 
 
-def test_argmax_lex_breaks_ties_by_largest_coordinates():
-    # (2, 3) and (3, 2) tie on log 6; the lexicographically larger wins
-    store = _store([[2.0, 3.0], [3.0, 2.0], [1.0, 5.0]])
-    idx, best = store.argmax_lex()
-    assert np.array_equal(store.row(idx), [3.0, 2.0])
-    assert best == math.log(2.0) + math.log(3.0)
-    store.pop(idx)
-    idx, _ = store.argmax_lex()
-    assert np.array_equal(store.row(idx), [2.0, 3.0])
+def test_pop_best_breaks_ties_by_largest_coordinates():
+    # (2, 3) and (3, 2) tie on log 6 and beat log 5; the lexicographically
+    # larger comes first, wherever it sits in the store
+    for rows in ([[2.0, 3.0], [3.0, 2.0], [1.0, 5.0]], [[3.0, 2.0], [1.0, 5.0], [2.0, 3.0]]):
+        popped = _drain(_store(rows))
+        assert [zc for zc, _ in popped] == [(3.0, 2.0), (2.0, 3.0), (1.0, 5.0)]
+        for zc, q in popped:
+            assert np.array_equal(q, np.array(zc) - 1.0)
 
 
 # -- carrier slices ------------------------------------------------------------
@@ -608,6 +618,13 @@ def test_solve_result_z_is_flat_until_written():
         full = np.zeros(s.size)
         full[list(r.active)] = res.z
         assert doc["z"] == full.tolist()
+
+
+def test_group_sums_add_left_to_right():
+    # Python 3.12's compensated sum gives 1.0 here; bounds must not depend on it
+    assert _sum([0.1] * 10) == 0.9999999999999999
+    assert _sum(x for x in (1.0, 1e100, 1.0, -1e100)) == 0.0
+    assert _sum([]) == 0.0
 
 
 def test_budget_constants():
