@@ -125,21 +125,25 @@ def _bs_positions(cfg: RadioConfig) -> np.ndarray:
     return np.stack([x, np.zeros(cfg.num_cells)], axis=1)
 
 
-def _sample_hexagon(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
-    """Uniform points in the hexagon |x| <= sqrt(3)R/2, |y| <= R - |x|/sqrt(3)."""
+def _sample_hexagon(rng: np.random.Generator, radius: float, center: np.ndarray, out: np.ndarray):
+    """Fill out, shape (count, 2), with uniform points in the hexagon around center.
+
+    The hexagon is |x| <= sqrt(3)R/2, |y| <= R - |x|/sqrt(3) relative to
+    center; points are drawn by rejection, x and y in rounds of at least 8.
+    """
     half_w = math.sqrt(3.0) * radius / 2.0
-    out = np.empty((count, 2))
+    count = out.shape[0]
     filled = 0
     while filled < count:
         need = count - filled
         m = max(8, int(1.6 * need))
         x = rng.uniform(-half_w, half_w, size=m)
         y = rng.uniform(-radius, radius, size=m)
-        keep = np.abs(y) <= radius - np.abs(x) / math.sqrt(3.0)
-        take = min(int(keep.sum()), need)
-        out[filled : filled + take] = np.stack([x[keep][:take], y[keep][:take]], axis=1)
-        filled += take
-    return out
+        keep = np.flatnonzero(np.abs(y) <= radius - np.abs(x) / math.sqrt(3.0))[:need]
+        out[filled : filled + keep.size, 0] = x[keep]
+        out[filled : filled + keep.size, 1] = y[keep]
+        filled += keep.size
+    out += center
 
 
 def _gain_from_distance(cfg: RadioConfig, d_m: np.ndarray) -> np.ndarray:
@@ -153,9 +157,9 @@ def generate_scenario(cfg: RadioConfig, seed=None) -> Scenario:
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     K, M, L = cfg.num_cells, cfg.users_per_cell, cfg.num_subcarriers
     bs = _bs_positions(cfg)
-    users = np.concatenate(
-        [bs[k] + _sample_hexagon(rng, M, cfg.cell_radius_m) for k in range(K)]
-    )
+    users = np.empty((K * M, 2))
+    for k in range(K):
+        _sample_hexagon(rng, cfg.cell_radius_m, bs[k], users[k * M : (k + 1) * M])
     d = np.linalg.norm(users[None, :, :] - bs[:, None, :], axis=2)
     gains = np.repeat(_gain_from_distance(cfg, d)[:, :, None], L, axis=2)
     if cfg.fading:
@@ -200,6 +204,10 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4 * n * n)) / denom
     return center - half, center + half
+
+
+# Drops whose distances, gains and statistics cdf_experiment holds at once.
+_CDF_BLOCK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,13 +268,22 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
     the probability that the full margin (noise term included, every
     interferer at its most harmful power within the cap) is non-negative,
     the operative decodability condition at the configured budget.
-    Positions are drawn in bulk for all drops at once from the config
-    seed. The study works on whole (drop, user pair, sub-carrier) arrays,
-    one (cell, interferer) pair at a time. Without fading every carrier
-    sees the same gains, so one carrier's values are sorted and each is
-    repeated once per carrier, and its counts are scaled by the carrier
-    count.
+
+    The user positions of all drops are drawn in bulk from the config
+    seed, cell after cell. Distances, gains, fading factors, statistics
+    and margins are then computed one block of ``_CDF_BLOCK`` drops at a
+    time: each block's statistics go into one preallocated array, sorted
+    in place at the end, and its margins are only counted. So memory is
+    the positions, the ``values`` and ``cdf`` arrays and one block. The
+    result is bit for bit that of one pass over all drops: each value
+    comes from the same float operations on the same draws (exponential
+    draws taken block by block continue one stream), the sorted array
+    holds the same multiset, and the counts are sums. Without fading
+    every carrier sees the same gains, so one carrier's values are sorted
+    and each is repeated once per carrier, and its counts are scaled by
+    the carrier count.
     """
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(cfg.seed)
@@ -276,56 +293,54 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
     if M < 2:
         raise ScenarioError("the decodability statistic needs at least two users per cell")
     bs = _bs_positions(cfg)
-    users = np.empty((samples, K, M, 2))
+    users = np.empty((K, samples, M, 2))
     for k in range(K):
-        users[:, k] = (bs[k] + _sample_hexagon(rng, samples * M, cfg.cell_radius_m)).reshape(
-            samples, M, 2
-        )
-    # d[s, j, k, u]: BS j to user u of cell k
-    dx = users[:, None, :, :, 0] - bs[None, :, None, None, 0]
-    dy = users[:, None, :, :, 1] - bs[None, :, None, None, 1]
-    del users
-    d = np.sqrt(dx * dx + dy * dy)
-    del dx, dy
-    base = _gain_from_distance(cfg, d)
-    del d
-    if cfg.fading:
-        g = base[..., None] * rng.exponential(1.0, size=base.shape + (L,))
-    else:
-        g = base[..., None]
+        _sample_hexagon(rng, cfg.cell_radius_m, bs[k], users[k].reshape(samples * M, 2))
 
     cap = cfg.subcarrier_cap_w
     noise = cfg.noise_power_w
     u, v = np.triu_indices(M, 1)
-    chunks = []
-    margin_chunks = []
-    for k in range(K):
-        ou, ov = g[:, k, k, u, :], g[:, k, k, v, :]
-        u_weak = ou <= ov  # ties keep the lower index as weak
-        weak_own = np.where(u_weak, ou, ov)
-        strong_own = np.where(u_weak, ov, ou)
-        worst = (strong_own - weak_own) * noise
-        for j in range(K):
-            if j == k:
-                continue
-            cu, cv = g[:, j, k, u, :], g[:, j, k, v, :]
-            weak_cross = np.where(u_weak, cu, cv)
-            strong_cross = np.where(u_weak, cv, cu)
-            stat = strong_own * weak_cross - weak_own * strong_cross
-            chunks.append(stat.reshape(-1))
-            worst = worst + np.minimum(stat, 0.0) * cap
-        margin_chunks.append(worst.reshape(-1))
     # without fading the arrays hold one carrier, which stands for all L
     reps = 1 if cfg.fading else L
-    values = np.sort(np.concatenate(chunks))
+    values = np.empty(samples * K * (K - 1) * u.size * (L // reps))
+    filled = 0
+    m_nonneg = 0
+    for start in range(0, samples, _CDF_BLOCK):
+        xy = users[:, start : start + _CDF_BLOCK].transpose(1, 0, 2, 3)
+        # d[s, j, k, u]: BS j to user u of cell k
+        dx = xy[:, None, :, :, 0] - bs[None, :, None, None, 0]
+        dy = xy[:, None, :, :, 1] - bs[None, :, None, None, 1]
+        base = _gain_from_distance(cfg, np.sqrt(dx * dx + dy * dy))
+        if cfg.fading:
+            g = base[..., None] * rng.exponential(1.0, size=base.shape + (L,))
+        else:
+            g = base[..., None]
+        for k in range(K):
+            ou, ov = g[:, k, k, u, :], g[:, k, k, v, :]
+            u_weak = ou <= ov  # ties keep the lower index as weak
+            weak_own = np.where(u_weak, ou, ov)
+            strong_own = np.where(u_weak, ov, ou)
+            worst = (strong_own - weak_own) * noise
+            for j in range(K):
+                if j == k:
+                    continue
+                cu, cv = g[:, j, k, u, :], g[:, j, k, v, :]
+                weak_cross = np.where(u_weak, cu, cv)
+                strong_cross = np.where(u_weak, cv, cu)
+                stat = strong_own * weak_cross - weak_own * strong_cross
+                values[filled : filled + stat.size] = stat.reshape(-1)
+                filled += stat.size
+                worst = worst + np.minimum(stat, 0.0) * cap
+            m_nonneg += int(np.count_nonzero(worst >= 0.0)) * reps
+    del users
+    values.sort()
     nonneg = int(np.count_nonzero(values >= 0.0)) * reps
-    margins = np.concatenate(margin_chunks)
-    m_nonneg = int(np.count_nonzero(margins >= 0.0)) * reps
     if reps > 1:
         values = np.repeat(values, reps)
     m = values.shape[0]
-    mm = margins.shape[0] * reps
-    cdf = np.arange(1, m + 1) / m
+    mm = samples * K * u.size * L
+    cdf = np.arange(1.0, m + 1)
+    cdf /= m
     lo, hi = wilson_interval(nonneg, m)
     mlo, mhi = wilson_interval(m_nonneg, mm)
     return CdfResult(
@@ -403,6 +418,7 @@ def power_sweep(cfg: RadioConfig, caps, epsilons, trials: int, threads: int = 1)
     """
     caps = [float(c) for c in caps]
     epsilons = [float(e) for e in epsilons]
+    trials, threads = _integer(trials, "trials"), _integer(threads, "threads")
     if not caps or not epsilons or trials < 1 or threads < 1:
         raise ValueError("need caps, epsilons, at least one trial and at least one worker")
     if len(set(caps)) < len(caps) or len(set(epsilons)) < len(epsilons):
@@ -471,6 +487,7 @@ def runtime_bench(cfg: RadioConfig, epsilons, trials: int) -> BenchResult:
     wall times, which parallel workers sharing the cores would inflate.
     """
     epsilons = [float(e) for e in epsilons]
+    trials = _integer(trials, "trials")
     if not epsilons or trials < 1:
         raise ValueError("need epsilons and at least one trial")
     if len(set(epsilons)) < len(epsilons):

@@ -1,15 +1,18 @@
-"""The decodability study builds its statistic from whole (drop, user pair,
-sub-carrier) arrays and, without fading, sorts one carrier's values once.
-The per-pair loop it replaced, which took distances with np.linalg.norm
-and tiled the pooled values over the carriers before sorting, is kept
-here as the reference. Every element is computed by the same float
-operations, so every field must agree bit for bit."""
+"""The decodability study builds its statistic from (drop, user pair,
+sub-carrier) arrays one block of drops at a time and, without fading,
+sorts one carrier's values once. The per-pair loop it replaced, which
+held every drop at once, took distances with np.linalg.norm and tiled the
+pooled values over the carriers before sorting, is kept here as the
+reference. Every element is computed by the same float operations, so
+every field must agree bit for bit, also when the drops span several
+blocks."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+import nomaopt.experiments as E
 from nomaopt.experiments import (
     CdfResult,
     RadioConfig,
@@ -28,9 +31,9 @@ def _reference_cdf(cfg, samples):
     bs = _bs_positions(cfg)
     users = np.empty((samples, K, M, 2))
     for k in range(K):
-        users[:, k] = (bs[k] + _sample_hexagon(rng, samples * M, cfg.cell_radius_m)).reshape(
-            samples, M, 2
-        )
+        cell = np.empty((samples * M, 2))
+        _sample_hexagon(rng, cfg.cell_radius_m, bs[k], cell)
+        users[:, k] = cell.reshape(samples, M, 2)
     d = np.linalg.norm(users[:, None, :, :, :] - bs[None, :, None, None, :], axis=4)
     base = _gain_from_distance(cfg, d)
     if cfg.fading:
@@ -108,3 +111,14 @@ def test_cdf_matches_pair_loop_reference(K, M, L, fading):
     cfg = RadioConfig(num_cells=K, users_per_cell=M, num_subcarriers=L, fading=fading,
                       seed=100 * K + 10 * M + L)
     assert _as_bytes(cdf_experiment(cfg, 300)) == _as_bytes(_reference_cdf(cfg, 300))
+
+
+@pytest.mark.parametrize("fading", [False, True])
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("samples", [1, 6, 7, 8, 22])
+def test_cdf_matches_reference_across_blocks(monkeypatch, samples, L, fading):
+    # blocks of 7 drops: one partial block, one exact block, a block plus one, three and a part
+    monkeypatch.setattr(E, "_CDF_BLOCK", 7)
+    cfg = RadioConfig(num_cells=3, users_per_cell=3, num_subcarriers=L, fading=fading,
+                      seed=1000 + samples)
+    assert _as_bytes(cdf_experiment(cfg, samples)) == _as_bytes(_reference_cdf(cfg, samples))

@@ -5,6 +5,7 @@ import csv
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,27 @@ def test_cdf_input_validation():
         cdf_experiment(SMALL, samples=0)
 
 
+def test_cdf_sample_count_must_be_an_integer():
+    for samples in (True, 3.5, "3", None):
+        with pytest.raises(ScenarioError, match="samples must be an integer"):
+            cdf_experiment(SMALL, samples=samples)
+    assert np.array_equal(cdf_experiment(SMALL, samples=3.0).values, cdf_experiment(SMALL, samples=3).values)
+
+
+def test_cdf_memory_stays_near_its_output():
+    # drops are processed in fixed-size blocks, so beyond the positions the
+    # study holds no (drop, cell, cell, user) array; one spanning every
+    # drop, with its temporaries, peaks above 4 times the output
+    cfg = RadioConfig(num_cells=3, users_per_cell=3, seed=5)
+    tracemalloc.start()
+    try:
+        res = cdf_experiment(cfg, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (res.values.nbytes + res.cdf.nbytes)
+
+
 def test_cdf_carrier_tiling_without_fading():
     flat = cdf_experiment(RadioConfig(users_per_cell=2, num_subcarriers=2, seed=3), 50)
     assert flat.num_values == 2 * 2 * 50
@@ -402,6 +424,17 @@ def test_sweep_input_validation():
             power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=1, threads=threads)
 
 
+def test_sweep_counts_must_be_integers():
+    # a bool once ran as one trial, a fractional worker count failed inside range()
+    for trials in (True, 1.5):
+        with pytest.raises(ScenarioError, match="trials must be an integer"):
+            power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=trials)
+    for threads in (True, 1.5):
+        with pytest.raises(ScenarioError, match="threads must be an integer"):
+            power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=1, threads=threads)
+    assert power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=2.0, threads=1.0).rows[0].trials == 2
+
+
 def test_sweep_rejects_repeated_values():
     # a repeat would write its rows twice, each counting both copies' trials
     with pytest.raises(ValueError, match="caps"):
@@ -433,6 +466,13 @@ def test_bench_input_validation():
         runtime_bench(SMALL, epsilons=[], trials=1)
     with pytest.raises(ValueError):
         runtime_bench(SMALL, epsilons=[0.5], trials=0)
+
+
+def test_bench_trial_count_must_be_an_integer():
+    for trials in (True, 1.5):
+        with pytest.raises(ScenarioError, match="trials must be an integer"):
+            runtime_bench(SMALL, epsilons=[0.5], trials=trials)
+    assert len(runtime_bench(SMALL, epsilons=[0.5], trials=2.0).records) == 2 * 3
 
 
 def test_bench_rejects_repeated_epsilons():
