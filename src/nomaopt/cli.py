@@ -215,8 +215,6 @@ def cmd_oracle(args) -> int:
         "grid": {
             "value": grid.value,
             "error_bound": grid.error_bound,
-            "lipschitz": grid.lipschitz,
-            "covering_radius": grid.covering_radius,
             "points_per_dim": args.grid,
             "evaluated": grid.evaluated,
             "q": grid.q.tolist(),

@@ -1,12 +1,13 @@
 """Independent verification tools: grid search and declared baselines.
 
 The grid optimizer exhaustively evaluates the reduced problem on a
-Cartesian power grid and reports a numerically estimated Lipschitz bound
-on how far the continuous optimum can sit above the best grid point. It
-exists to sandwich the solver from below at desk scale, so it shares no
-code path with the solver beyond the problem definition itself. The grid
-is evaluated in C-order slabs by broadcasting its 1-D axes, each rate
-term on its own carrier's sub-grid; ties go to the lowest flat index.
+Cartesian power grid and reports a closed-form bound on how far the
+continuous optimum can sit above the best grid point, certified by the
+monotonicity of each rate term. It exists to sandwich the solver at desk
+scale, so it shares no code path with the solver beyond the problem
+definition itself. The grid is evaluated in C-order slabs by
+broadcasting its 1-D axes, each rate term on its own carrier's sub-grid;
+ties go to the lowest flat index.
 
 The two baselines are declared stand-ins for an external reference
 heuristic whose algorithm is not public: full power on every carrier, and
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, _integer
 
 # unused here: the benchmark tracer patches the model calls under these names
 from .model import build_decoding_order, check_feasible, sic_always_feasible, sum_rate  # noqa: F401
 from .polyblock import SolveResult
-from .reduction import ReducedProblem, reduce_scenario, sum_rate_from_powers, z_from_p
+from .reduction import reduce_scenario, sum_rate_from_powers, z_from_p
 
 __all__ = ["GridOptimum", "grid_optimum", "baseline_full_power", "baseline_greedy"]
 
@@ -36,19 +37,24 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class GridOptimum:
-    """Best grid point of the reduced problem plus a refinement bound.
+    """Best grid point of the reduced problem plus a certified refinement bound.
 
-    The continuous optimum is at most value + error_bound, where
-    error_bound = lipschitz * covering_radius and lipschitz is the largest
-    gradient norm seen at a fixed probe set (an estimate, reported rather
-    than assumed).
+    The continuous optimum is at most value + error_bound, up to float
+    round-off. Rate term i = (k, l) is log1p(g_ii q_i / D_i(q)), where
+    D_i(q) = N + sum_j g_ij q_j sums its same-carrier interferers j; it
+    grows with its own power and falls with theirs. So on the grid cell
+    [q_lo, q_hi] that holds the optimum,
+    f <= sum_i log1p(g_ii q_hi_i / D_i(q_lo))
+    <= f(q_hi) + sum_i log(D_i(q_hi) / D_i(q_lo)). Here f(q_hi) <= value,
+    as q_hi is a grid point, and each ratio is at most
+    1 + sum_j g_ij d_j / N for the per-axis ``spacing`` d, hence
+    error_bound = sum_i log1p(sum_j g_ij d_j / N): 0 with one cell or
+    zero caps.
     """
 
     q: np.ndarray
     value: float
     error_bound: float
-    lipschitz: float
-    covering_radius: float
     spacing: np.ndarray
     evaluated: int
 
@@ -85,6 +91,7 @@ def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
     to the lowest flat grid index: the first maximum within a slab, and a
     later slab only on a strictly greater value.
     """
+    grid_points_per_dim = _integer(grid_points_per_dim, "grid_points_per_dim")
     if grid_points_per_dim < 2:
         raise ValueError("need at least 2 grid points per dimension")
     r = reduce_scenario(s)
@@ -123,54 +130,15 @@ def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
     spacing = np.array(
         [caps[j] / (len(axes[j]) - 1) if len(axes[j]) > 1 else 0.0 for j in range(r.dim)]
     )
-    radius = 0.5 * float(np.sqrt(np.sum(spacing**2)))
-    lip = _probe_lipschitz(r, caps, best_q)
+    # the interference each rate term can gain across one grid cell, over noise
+    spread = np.einsum("klj,jl->kl", r.gain_cross, spacing.reshape(K, L)) / N
     return GridOptimum(
         q=best_q,
         value=best_val,
-        error_bound=lip * radius,
-        lipschitz=lip,
-        covering_radius=radius,
+        error_bound=float(np.log1p(spread).sum()),
         spacing=spacing,
         evaluated=math.prod(shape),
     )
-
-
-def _probe_lipschitz(r: ReducedProblem, caps: np.ndarray, best_q: np.ndarray) -> float:
-    """Largest finite-difference gradient norm over a fixed probe set.
-
-    The probe set includes the origin, where the noise-limited gradient
-    peaks, the best grid point, the full-cap corner and three interior
-    scalings of the cap vector.
-    """
-    probes = [
-        np.zeros(r.dim),
-        best_q,
-        0.25 * caps,
-        0.5 * caps,
-        0.75 * caps,
-        caps.astype(float),
-    ]
-    worst = 0.0
-    for p in probes:
-        grad = np.zeros(r.dim)
-        for j in range(r.dim):
-            if caps[j] <= 0:
-                continue
-            h = caps[j] * 1e-7
-            lo = max(p[j] - h, 0.0)
-            hi = min(p[j] + h, caps[j])
-            if hi <= lo:
-                continue
-            plus = p.copy()
-            plus[j] = hi
-            minus = p.copy()
-            minus[j] = lo
-            fp = sum_rate_from_powers(r, plus)
-            fm = sum_rate_from_powers(r, minus)
-            grad[j] = (fp - fm) / (hi - lo)
-        worst = max(worst, float(np.linalg.norm(grad)))
-    return worst
 
 
 # the fixed result fields of a declared heuristic
@@ -211,6 +179,9 @@ def baseline_greedy(s: Scenario, sweeps: int = 50, stall_tol: float = 1e-6) -> S
     fixed candidates {0, cap, current}; only improvements are accepted, so
     the objective is non-decreasing by construction.
     """
+    sweeps = _integer(sweeps, "sweeps")
+    if sweeps < 0:
+        raise ValueError("sweeps must not be negative")
     t0 = time.perf_counter()
     r = reduce_scenario(s)
     caps = r.cap_carrier.reshape(-1)

@@ -50,6 +50,7 @@ from .model import (
     Allocation,
     FeasibilityReport,
     Scenario,
+    _integer,
     _write_csv,
     build_decoding_order,
     check_feasible,
@@ -409,6 +410,10 @@ def solve(
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be a positive finite number")
+    max_iterations = _integer(max_iterations, "max_iterations")
+    max_vertices = _integer(max_vertices, "max_vertices")
+    if max_iterations < 0 or max_vertices < 0:
+        raise ValueError("iteration and vertex budgets must not be negative")
     t0 = time.perf_counter()
     r = reduce_scenario(s)
     K, L = r.gain_active.shape

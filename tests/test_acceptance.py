@@ -77,12 +77,14 @@ def test_a1_certified_value_matches_grid_oracle(certified_runs, capsys):
     problems = []
     worst_gap = 0.0
     worst_allow = math.inf
+    worst_bound = 0.0
     slowest = 0.0
     for trial, (s, res, ref) in enumerate(certified_runs):
         gap = abs(res.sum_rate_nats - ref.value)
         allow = 0.01 + ref.error_bound
         worst_gap = max(worst_gap, gap)
         worst_allow = min(worst_allow, allow)
+        worst_bound = max(worst_bound, ref.error_bound)
         slowest = max(slowest, res.wall_time_s)
         if res.status != "optimal" or not res.certified:
             problems.append(f"trial {trial}: status={res.status} certified={res.certified}")
@@ -90,11 +92,14 @@ def test_a1_certified_value_matches_grid_oracle(certified_runs, capsys):
             problems.append(f"trial {trial}: |solver - grid| = {gap:.3e} > {allow:.3e}")
         if res.wall_time_s >= 60.0:
             problems.append(f"trial {trial}: took {res.wall_time_s:.1f} s")
+        if ref.error_bound > 1e-3:
+            problems.append(f"trial {trial}: grid error bound {ref.error_bound:.3e} > 1e-3 nats")
     _report(
         capsys,
         not problems,
         "A1 certified solves match 400-per-dim grid oracle on 20 seeded instances "
         f"(max |gap| {worst_gap:.2e}, tightest allowance {worst_allow:.2e}, "
+        f"largest grid error bound {worst_bound:.2e} nats, "
         f"slowest solve {slowest * 1e3:.1f} ms, limit 60 s)",
     )
     assert not problems, "\n".join(problems)

@@ -117,6 +117,26 @@ def test_formats_result_example_matches_solve(tmp_path):
     assert trace.read_text() == csv_block.group(1)
 
 
+def test_formats_oracle_example_matches_oracle(tmp_path):
+    # the worked oracle report in FORMATS.md, rerun: every key, and the
+    # algorithm of the abridged solver report
+    section = _formats_section("Oracle report JSON (output: `oracle --out`)")
+    m = re.search(
+        r"`gen --set users_per_cell=2 --seed 5`, then\n`oracle --grid 150 --epsilon 0.05`\):\n\n```json\n(.*?)```",
+        section,
+        re.S,
+    )
+    documented = json.loads(m.group(1))
+    scen, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    assert main(["gen", "--set", "users_per_cell=2", "--seed", "5", "--out", str(scen)]) == EXIT_OK
+    assert main(["oracle", "--scenario", str(scen), "--grid", "150", "--epsilon", "0.05", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert set(documented) == set(doc)
+    assert doc["solver"]["algorithm"] == documented.pop("solver")["algorithm"]
+    for key in documented:
+        assert doc[key] == documented[key], key
+
+
 def test_formats_radio_config_table_matches_dataclass():
     section = _formats_section("Radio config JSON (input: `gen`, `sweep`, `cdf`, `bench`)")
     rows = re.findall(r"^\| `(\w+)` \| (\S+) \|", section, re.M)

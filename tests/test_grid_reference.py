@@ -2,8 +2,9 @@
 axes and evaluates each rate term on its carrier's sub-grid. The chunked
 search it replaced, which gathered every grid point into a row of a
 power matrix, is kept here as the reference. The elementwise float
-operations and their order are the same in both, so every field must
-agree bit for bit."""
+operations and their order are the same in both, so value, q, evaluated
+and spacing must agree bit for bit. The error bound is checked against
+its closed form written as a scalar loop over (k, l, j)."""
 
 import math
 
@@ -62,9 +63,22 @@ def _reference_grid(s, grid_points_per_dim):
     spacing = np.array(
         [caps[j] / (len(axes[j]) - 1) if len(axes[j]) > 1 else 0.0 for j in range(r.dim)]
     )
-    radius = 0.5 * float(np.sqrt(np.sum(spacing**2)))
-    lip = oracle._probe_lipschitz(r, caps, best_q)
-    return best_val, best_q, total, spacing, lip * radius
+    return best_val, best_q, total, spacing, _reference_error_bound(r, spacing)
+
+
+def _reference_error_bound(r, spacing):
+    """sum over (k, l) of log1p(sum over j != k of g_klj * spacing_jl / N)."""
+    K, L = r.gain_active.shape
+    N = r.scenario.noise_power
+    bound = 0.0
+    for k in range(K):
+        for l in range(L):
+            spread = 0.0
+            for j in range(K):
+                if j != k:
+                    spread += float(r.gain_cross[k, l, j]) * float(spacing[j * L + l])
+            bound += math.log1p(spread / N)
+    return bound
 
 
 def _assert_identical(s, points):
@@ -74,7 +88,7 @@ def _assert_identical(s, points):
     assert got.q.dtype == q.dtype and got.q.tobytes() == q.tobytes()
     assert got.evaluated == evaluated
     assert got.spacing.tobytes() == spacing.tobytes()
-    assert got.error_bound == error_bound
+    assert got.error_bound == pytest.approx(error_bound, rel=1e-12, abs=0.0)
     return got
 
 

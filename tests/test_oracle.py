@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nomaopt.experiments import RadioConfig, generate_scenario
+from nomaopt.model import ScenarioError
 from nomaopt.oracle import baseline_full_power, baseline_greedy, grid_optimum
 from nomaopt.polyblock import solve
 from nomaopt.reduction import reduce_scenario, sum_rate_from_powers
@@ -24,9 +25,8 @@ def test_grid_single_cell_hits_endpoint_exactly():
     assert ref.q == pytest.approx([2.0])
     assert ref.evaluated == 11
     assert ref.spacing == pytest.approx([0.2])
-    assert ref.covering_radius == pytest.approx(0.1)
-    assert ref.error_bound == pytest.approx(ref.lipschitz * 0.1)
-    assert ref.lipschitz > 0
+    # one cell has no interferers, so the grid value is the optimum
+    assert ref.error_bound == 0.0
 
 
 def test_grid_zero_caps_gives_silence():
@@ -34,7 +34,6 @@ def test_grid_zero_caps_gives_silence():
     ref = grid_optimum(s, grid_points_per_dim=5)
     assert ref.value == 0.0
     assert np.array_equal(ref.q, [0.0])
-    assert ref.covering_radius == 0.0
     assert ref.error_bound == 0.0
 
 
@@ -44,6 +43,18 @@ def test_grid_input_validation():
     big = make_scenario(np.ones((5, 5, 1)), subcarrier_cap=1.0)
     with pytest.raises(ValueError, match="at most 4"):
         grid_optimum(big, grid_points_per_dim=3)
+
+
+def test_grid_point_count_must_be_an_integer():
+    # 3.0 once failed inside np.linspace with a bare TypeError
+    s = sym2_scenario()
+    for points in (True, 3.5, "3", None):
+        with pytest.raises(ScenarioError, match="grid_points_per_dim must be an integer"):
+            grid_optimum(s, points)
+    with pytest.raises(ValueError, match="grid points"):
+        grid_optimum(s, -3)
+    a, b = grid_optimum(s, 3.0), grid_optimum(s, 3)
+    assert (a.value, a.q.tolist(), a.evaluated) == (b.value, b.q.tolist(), b.evaluated)
 
 
 def test_grid_refinement_self_consistency():
@@ -56,6 +67,48 @@ def test_grid_refinement_self_consistency():
         assert coarse.value <= fine.value + fine.error_bound + 1e-12
         assert fine.value <= coarse.value + coarse.error_bound + 1e-12
         assert fine.value >= coarse.value - 1e-9  # denser grid cannot lose much
+
+
+_GRID_SHAPES = [(K, L) for K in range(1, 5) for L in (1, 2) if K * L <= 4]
+
+
+def _certified_cases(K, L):
+    """Generated drops with fading off and on (caps 1e-9..1e-3 W, radii
+    10 m..1 km), and one drop with gains over twelve decades, noise 1e-13
+    and at least one zero cap."""
+    rng = np.random.default_rng(117 + 10 * K + L)
+    for fading in (False, True):
+        cfg = RadioConfig(
+            num_cells=K, num_subcarriers=L, users_per_cell=2, fading=fading,
+            subcarrier_cap_w=float(10.0 ** rng.uniform(-9.0, -3.0)),
+            cell_radius_m=float(10.0 ** rng.uniform(1.0, 3.0)),
+        )
+        yield generate_scenario(cfg, seed=[K, L, int(fading)])
+    g = 10.0 ** rng.uniform(-16.0, -4.0, size=(K, 2 * K, L))
+    caps = rng.uniform(0.0, 1e-3, size=(K, L)) * (rng.uniform(size=(K, L)) > 0.3)
+    caps.flat[rng.integers(K * L)] = 0.0
+    yield make_scenario(g, noise=1e-13, subcarrier_cap=caps)
+
+
+@pytest.mark.parametrize("K,L", _GRID_SHAPES)
+def test_grid_bound_is_certified(K, L):
+    # value + error_bound caps every rate seen: the solver's, both
+    # baselines' and a much finer grid's, on coarse grids too
+    for s in _certified_cases(K, L):
+        r = reduce_scenario(s)
+        seen = {
+            "solve": solve(s, 1e-2).sum_rate_nats,
+            "full power": baseline_full_power(s).sum_rate_nats,
+            "greedy": baseline_greedy(s).sum_rate_nats,
+            "33-point grid": grid_optimum(s, 33).value,
+        }
+        for points in (2, 3, 5, 9):
+            ref = grid_optimum(s, points)
+            spacing = r.cap_carrier / (points - 1)
+            spread = (r.gain_cross * spacing.T[None]).sum(axis=2) / s.noise_power
+            assert ref.error_bound == pytest.approx(np.log1p(spread).sum(), rel=1e-12, abs=0.0)
+            for name, rate in seen.items():
+                assert rate <= ref.value + ref.error_bound + 1e-9, (points, name)
 
 
 def test_grid_reports_achievable_point():
@@ -146,6 +199,17 @@ def test_greedy_iteration_count_and_stall():
     one = baseline_greedy(s, sweeps=1)
     assert one.iterations == 1
     assert one.sum_rate_nats <= res.sum_rate_nats + 1e-12
+
+
+def test_greedy_sweep_count_must_be_an_integer():
+    s = sym2_scenario()
+    for sweeps in (True, 2.5, "2", None):
+        with pytest.raises(ScenarioError, match="sweeps must be an integer"):
+            baseline_greedy(s, sweeps=sweeps)
+    with pytest.raises(ValueError, match="sweeps must not be negative"):
+        baseline_greedy(s, sweeps=-1)
+    a, b = baseline_greedy(s, sweeps=2.0), baseline_greedy(s, sweeps=2)
+    assert (a.iterations, a.sum_rate_nats) == (b.iterations, b.sum_rate_nats)
 
 
 # -- the shared result builder ---------------------------------------------------

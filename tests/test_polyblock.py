@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
+from nomaopt.model import ScenarioError
 from nomaopt.oracle import baseline_full_power, grid_optimum
 from nomaopt.polyblock import (
     MAX_ITERATIONS,
@@ -579,6 +580,21 @@ def test_solve_vertex_budget():
     res = solve(s, epsilon=1e-6, max_vertices=2)
     assert res.status == "budget_exceeded"
     assert not res.certified
+
+
+def test_solve_budgets_must_be_integers():
+    # a fractional budget once ran one iteration more, and True ran one
+    rng = np.random.default_rng(83)
+    s = random_scenario(rng, num_cells=3, num_subcarriers=1, users_per_cell=2)
+    for name in ("max_iterations", "max_vertices"):
+        for value in (True, 1.5, "2", None):
+            with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
+                solve(s, epsilon=1e-6, **{name: value})
+        with pytest.raises(ValueError, match="must not be negative"):
+            solve(s, epsilon=1e-6, **{name: -1})
+    res = solve(s, epsilon=1e-6, max_iterations=2.0)
+    assert res.status == "budget_exceeded" and res.iterations == 2
+    assert res.upper_bound == solve(s, epsilon=1e-6, max_iterations=2).upper_bound
 
 
 def test_solve_epsilon_validation():
