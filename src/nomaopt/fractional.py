@@ -177,6 +177,9 @@ _LAM_RTOL = 1e-9
 _Q_ATOL = 1e-12  # watts
 # power-system evaluations one projection may take before ProjectionError
 _MAX_EVALUATIONS = 200
+# tangent-and-chord pairs in a row that fail to halve the bracket before a
+# bisection; at a kink of h, where a cell switches on, they can crawl
+_STALLED_PAIRS = 3
 
 
 class _Point(NamedTuple):
@@ -210,7 +213,7 @@ def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, lam: float) -
         return _Point(lam, z, None, math.nan, False)
     q = q.T.reshape(-1)
     if q.min() < 0.0:
-        q = np.maximum(q, 0.0)  # round-off within 1e-12 W below zero
+        q = np.maximum(q, 0.0)  # round-off below zero, within the verdict's room
     h = float(np.max(q / np.where(caps > 0.0, caps, np.inf))) - 1.0
     if np.any(_over_cap(r, q, 0.0)):
         return _Point(lam, z, q, h, False)
@@ -221,31 +224,32 @@ def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, lam: float) -
     return _Point(lam, z, q, h, True, lam + float(reach.min()), max(step, float(np.spacing(lam))))
 
 
-def _trial(lo: _Point, up: _Point | None, hi: float, tangent: bool) -> float | None:
+def _trial(lo: _Point, up: _Point | None, hi: float, step: str) -> float | None:
     """Next scale to evaluate inside (lo, hi), or None when no float is left.
 
-    Alternates a tangent step from lo (at or past the boundary, as each
-    q_i is convex) with a chord step on h between lo and an evaluated upper
-    end (short of it, h being convex). A step is kept ``lo.step`` away
-    from both ends, so once either end sits on the boundary the next point
-    closes the bracket. The search
-    bisects when the step leaves the bracket or the upper end lies past the
-    pole, and tries the analytic bound hi itself while no upper end has
-    been evaluated.
+    A "tangent" step goes from lo (at or past the boundary, as each q_i is
+    convex) and a "chord" step on h between lo and an evaluated upper end
+    (short of it, h being convex). Either is kept ``lo.step`` away from
+    both ends, so once either end sits on the boundary the next point
+    closes the bracket. The search tries the analytic bound hi itself
+    while no upper end has been evaluated, and otherwise bisects when
+    asked to, when the step leaves the bracket, when rounding puts it on
+    an end, or when the upper end lies past the pole.
     """
-    if tangent:
+    if step == "tangent":
         t = lo.tangent
-    elif up is not None and up.q is not None and up.h > lo.h:
+    elif step == "chord" and up is not None and up.q is not None and up.h > lo.h:
         t = lo.lam + (hi - lo.lam) * -lo.h / (up.h - lo.h)
     else:
         t = math.nan
     d = lo.step
     if t <= hi and hi - lo.lam > 2.0 * d:
         t = min(max(t, lo.lam + d), hi - d)
-    elif up is None:
+        if lo.lam < t < hi:
+            return t
+    if up is None:
         return hi
-    else:
-        t = lo.lam + 0.5 * (hi - lo.lam)
+    t = lo.lam + 0.5 * (hi - lo.lam)
     return t if lo.lam < t < hi else None
 
 
@@ -274,7 +278,10 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
     the interference-free bound hi = min_i (1 + g_ii cap_i / N) / z_i; with
     every cap zero hi equals lo, and the one evaluation at lo ends the
     search. Each step evaluates one scale (see ``_trial``) and moves lo
-    when it is realizable, the upper end otherwise. The search stops when
+    when it is realizable, the upper end otherwise. Steps alternate
+    tangent and chord; after ``_STALLED_PAIRS`` pairs in a row that each
+    leave more than half the bracket, and after every further such pair,
+    one bisection follows. The search stops when
     a cap binds exactly at lo, when lo reaches the bound, when the bracket
     fixes lambda to 1e-9 relative and the powers to 1e-12 W, or when no
     float is left inside it, and raises ProjectionError when
@@ -303,9 +310,9 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
         lo = _evaluate(r, zc, caps, 1.0 / float(np.max(zc)))
         evaluations += 1
     lambdas = [lo.lam]
-    tangent = True
+    step, width, stalls = "tangent", hi - lo.lam, 0
     while not (lo.h == 0.0 or lo.lam >= hi or _closed(lo, up)):
-        t = _trial(lo, up, hi, tangent)
+        t = _trial(lo, up, hi, step)
         if t is None:
             break
         if evaluations >= _MAX_EVALUATIONS:
@@ -315,12 +322,18 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
             )
         pt = _evaluate(r, zc, caps, t)
         evaluations += 1
-        tangent = not tangent
         if pt.ok:
             lo = pt
             lambdas.append(pt.lam)
         else:
             up, hi = pt, pt.lam
+        if step == "chord":
+            stalls = stalls + 1 if hi - lo.lam > 0.5 * width else 0
+        if step == "tangent":
+            step = "chord"
+        else:
+            step = "bisect" if step == "chord" and stalls >= _STALLED_PAIRS else "tangent"
+            width = hi - lo.lam
 
     exact = lo.h == 0.0 or lo.lam >= hi
     return ProjectionResult(

@@ -19,7 +19,9 @@ go through the reduce step of branch-reduce-and-bound (Tuy, SIAM J.
 Optim. 11(2), 2000): against the threshold t = incumbent + epsilon / L,
 a child whose box holds no realizable point worth more than t is
 dropped, and any other is lowered to the part of its box that can hold
-one (``reduce_children``). The loop ends when the summed upper
+one (``reduce_children``). The survivors that no stored vertex or
+earlier child dominates are appended in one batch, and one mask then
+drops every vertex worth at most t. The loop ends when the summed upper
 bound is within epsilon of the summed incumbent, which certifies
 epsilon-optimality (with no projection at all when the full-power
 incumbents already are), or when a safety budget runs out, in which case
@@ -222,65 +224,6 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
     return lowered[keep | ~(negative | over)]
 
 
-class _VertexSet:
-    """Compact vertex store over active-coordinate values.
-
-    Next to each vertex it keeps the powers of the projection that created
-    it, the warm start for that vertex's own projection, and it tracks the
-    largest value ``prune_value`` ever dropped.
-    """
-
-    def __init__(self, n_coords: int):
-        self._z = np.empty((256, n_coords))
-        self._f = np.empty(256)
-        self._q = np.empty((256, n_coords))
-        self.count = 0
-        self.dropped_max = -math.inf
-
-    def add(self, zc: np.ndarray, f: float, q: np.ndarray):
-        if self.count == self._z.shape[0]:
-            self._z = np.concatenate([self._z, np.empty_like(self._z)])
-            self._f = np.concatenate([self._f, np.empty_like(self._f)])
-            self._q = np.concatenate([self._q, np.empty_like(self._q)])
-        self._z[self.count] = zc
-        self._f[self.count] = f
-        self._q[self.count] = q
-        self.count += 1
-
-    def pop_best(self) -> tuple[np.ndarray, np.ndarray]:
-        """Remove a vertex of the largest value, ties to the lexicographically
-        largest values; returns its values and start powers."""
-        f = self._f[: self.count]
-        idx = max(np.flatnonzero(f == f.max()).tolist(), key=lambda i: tuple(self._z[i]))
-        zc, q = self._z[idx].copy(), self._q[idx].copy()
-        last = self.count - 1
-        if idx != last:
-            self._z[idx] = self._z[last]
-            self._f[idx] = self._f[last]
-            self._q[idx] = self._q[last]
-        self.count = last
-        return zc, q
-
-    def covers(self, zc: np.ndarray) -> bool:
-        """True when some stored vertex dominates zc (>= everywhere, so an
-        equal vertex counts: it adds no new box)."""
-        view = self._z[: self.count]
-        return bool(np.any(np.all(view >= zc, axis=1)))
-
-    def max_value(self) -> float:
-        return float(self._f[: self.count].max())
-
-    def prune_value(self, threshold: float):
-        mask = self._f[: self.count] > threshold
-        kept = int(mask.sum())
-        if kept != self.count:
-            self.dropped_max = max(self.dropped_max, float(self._f[: self.count][~mask].max()))
-            self._z[:kept] = self._z[: self.count][mask]
-            self._f[:kept] = self._f[: self.count][mask]
-            self._q[:kept] = self._q[: self.count][mask]
-            self.count = kept
-
-
 def _carrier_problem(r: ReducedProblem, l: int) -> ReducedProblem:
     """Reduced problem of carrier l alone: r's arrays sliced to that
     carrier (contiguous), with r's scenario and the canonical indices of
@@ -320,20 +263,23 @@ def _carrier_groups(r: ReducedProblem) -> list[list[int]]:
 class _CarrierSearch:
     """Polyblock state of one group of identical carriers.
 
+    The vertex store is three arrays with one column per vertex: the
+    vertices ``z`` (dim, n), their values ``f`` (n,) and ``q`` (dim, n),
+    the powers of the projection that made each vertex, its warm start.
     ``lb`` is the best value found (realized by ``best_q``), starting from
     the full-power point when that beats silence. Each refinement reduces
-    the new children against t = ``lb + tol`` (``reduce_children``)
-    before storing them, and whenever that drops or lowers one it records
-    t in ``store.dropped_max``: the parts cut away hold no realizable
-    point worth more than t, but may hold some worth up to t, which ``lb``
-    alone does not bound. ``ub`` bounds the group's optimum: the largest
-    stored vertex value, or once the store is empty the larger of ``lb``
-    and ``store.dropped_max``, since every box left out was pruned at its
-    value, cut by the reduce step at a recorded t, or holds nothing above
-    its projection. Stored vertices are all worth more than ``lb + tol``
-    after each refinement, and pruned values and recorded thresholds are
-    at most that, so ``lb <= ub``, and ``ub <= lb + tol`` once the store
-    is empty.
+    the new children against t = ``lb + tol`` (``reduce_children``), and
+    whenever that drops or lowers one it records t in ``dropped_max``:
+    the parts cut away hold no realizable point worth more than t, but may
+    hold some worth up to t, which ``lb`` alone does not bound. ``add``
+    then updates the store once, so every stored vertex is worth more than
+    ``lb + tol``, and records the largest value it prunes. ``ub`` bounds
+    the group's optimum: the largest stored vertex value, or once the
+    store is empty the larger of ``lb`` and ``dropped_max``, since every
+    box left out was pruned at its value, cut by the reduce step at a
+    recorded t, or holds nothing above its projection. Pruned values and
+    recorded thresholds are at most ``lb + tol``, so ``lb <= ub``, and
+    ``ub <= lb + tol`` once the store is empty.
     """
 
     def __init__(self, r: ReducedProblem, carriers: list[int], tol: float):
@@ -350,9 +296,46 @@ class _CarrierSearch:
         if f_full > self.lb:
             self.lb, self.best_c, self.best_q = f_full, ratios, full
         z0 = initial_vertex(r)
-        self.store = _VertexSet(r.dim)
-        self.store.add(z0, float(np.sum(np.log(z0))), full)
-        self.ub = self.store.max_value()
+        self.z, self.f, self.q = z0[:, None], np.log(z0).sum(keepdims=True), full[:, None]
+        self.dropped_max = -math.inf
+        self.ub = float(self.f[0])
+
+    def pop(self) -> tuple[np.ndarray, np.ndarray]:
+        """Remove a vertex of the largest value, ties to the lexicographically
+        largest values, moving the last column into its slot; returns its
+        values and start powers."""
+        i = max(np.flatnonzero(self.f == self.f.max()).tolist(), key=lambda j: tuple(self.z[:, j]))
+        zc, start = self.z[:, i].copy(), self.q[:, i].copy()
+        for a in (self.z, self.f, self.q):
+            a[..., i] = a[..., -1]
+        self.z, self.f, self.q = self.z[:, :-1], self.f[:-1], self.q[:, :-1]
+        return zc, start
+
+    def add(self, children: np.ndarray, powers: np.ndarray, t: float):
+        """Append the rows of ``children`` that no stored vertex and no
+        earlier row dominates (>= everywhere, so an equal one counts: it
+        adds no box), all starting from ``powers``; then drop every vertex
+        worth at most t, recording the largest value dropped, and reset
+        ``ub``. Dominance is transitive, so a row covered only by a covered
+        earlier row is covered by a stored vertex or a kept row as well."""
+        earlier = np.tril((children[None] >= children[:, None]).all(axis=2), -1)
+        # reduced over the leading coordinate axis of a C-ordered store,
+        # which numpy does several times faster than over a short last axis
+        stored = (self.z[:, None] >= children.T[:, :, None]).all(axis=0)
+        new = children[~(stored.any(axis=1) | earlier.any(axis=1))]
+        z, f, q = self.z, self.f, self.q
+        if len(new):
+            z = np.concatenate([z, new.T], axis=1)
+            f = np.concatenate([f, np.log(new).sum(axis=1)])
+            q = np.concatenate([q, np.repeat(powers[:, None], len(new), axis=1)], axis=1)
+        keep = f > t
+        if not keep.all():
+            self.dropped_max = max(self.dropped_max, float(f[~keep].max()))
+            # a boolean index on axis 1 would return Fortran order, and
+            # the dominance test above is several times slower on that
+            z, f, q = z.compress(keep, axis=1), f[keep], q.compress(keep, axis=1)
+        self.z, self.f, self.q = z, f, q
+        self.ub = float(f.max()) if f.size else max(self.lb, self.dropped_max)
 
     def refine(self):
         """Project the best vertex from its stored start powers, keep the
@@ -360,7 +343,7 @@ class _CarrierSearch:
         its children, cut at the certified unrealizable scale
         ``lam_upper`` and then reduced against ``lb + tol``; they inherit
         the projection's powers as their start."""
-        parent, start = self.store.pop_best()
+        parent, start = self.pop()
 
         proj = dinkelbach_project(self.r, parent, start=start)
         f_proj = float(np.sum(np.log(proj.z_proj)))
@@ -372,15 +355,8 @@ class _CarrierSearch:
         reduced = reduce_children(self.r, children, t)
         if reduced.shape != children.shape or np.any(reduced != children):
             # the parts cut away may hold realizable points worth up to t
-            self.store.dropped_max = max(self.store.dropped_max, t)
-        for child in reduced:
-            if not self.store.covers(child):
-                self.store.add(child, float(np.sum(np.log(child))), proj.powers)
-        self.store.prune_value(t)
-        if self.store.count:
-            self.ub = self.store.max_value()
-        else:
-            self.ub = max(self.lb, self.store.dropped_max)
+            self.dropped_max = max(self.dropped_max, t)
+        self.add(reduced, proj.powers, t)
 
 
 def _sum(values) -> float:
@@ -428,10 +404,10 @@ def solve(
     certified = True
     while True:
         gaps = [g.m * (g.ub - g.lb) for g in groups]
-        refinable = [i for i, g in enumerate(groups) if g.store.count]
+        refinable = [i for i, g in enumerate(groups) if g.f.size]
         if not refinable or _sum(gaps) <= epsilon:
             break
-        if iterations >= max_iterations or sum(g.store.count for g in groups) >= max_vertices:
+        if iterations >= max_iterations or sum(g.f.size for g in groups) >= max_vertices:
             status = "budget_exceeded"
             certified = False
             break

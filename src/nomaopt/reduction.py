@@ -193,9 +193,9 @@ def p_from_z(r: ReducedProblem, z) -> np.ndarray:
 
     z is checked as the module docstring says. Each carrier is one of
     ``power_systems`` at SINRs z - 1, so entries with z = 1 take zero
-    power, and powers in [-1e-12, 0) are clamped to 0. The first singular
-    carrier raises InconsistentSinrError("singular"); failing that, a
-    power below -1e-12 W raises InconsistentSinrError("negative").
+    power, and powers below zero by round-off are clamped to 0. The first
+    singular carrier raises InconsistentSinrError("singular"); failing
+    that, a carrier past the pole raises InconsistentSinrError("negative").
     """
     K, L = r.gain_active.shape
     q, inv, singular, negative = power_systems(r, (_as_sinrs(z, r.dim) - 1.0).reshape(K, L).T)
@@ -233,9 +233,12 @@ def power_systems(
     two masks (B,). ``singular`` marks rows where some 1 / (A^-1)_kk, the
     pivot that eliminating every other cell leaves on cell k whatever
     units the powers are in, is below 1e-12 of the unit diagonal: their
-    powers mean nothing. ``negative`` marks rows with a power below
-    -1e-12 W: their SINRs lie past the pole, where no non-negative powers
-    reach them.
+    powers mean nothing. ``negative`` marks rows past the pole, where no
+    q >= 0 solves A q = b = gamma N / g (before it q = b + B b + ... >= 0,
+    A = I - B, B >= 0): some power lies below zero by more than the bound
+    |A^-1| (|b - A q| + 4 (K + 2) eps (|A| |q| + b)) on its round-off. The
+    test is free of units, and a tiny power that cancels to just below
+    zero stays within the bound; callers clamp it to 0.
     """
     B, K = gamma.shape
     scale, cross = r._system
@@ -250,9 +253,14 @@ def power_systems(
     rhs.reshape(B, K * (K + 1))[:, 1 :: K + 2] = 1.0
     x = _solve_batch(A, rhs)
     growth = np.abs(x.reshape(B, K * (K + 1))[:, 1 :: K + 2])
-    q = x[:, :, 0]
-    # NaN growth (an exactly singular system) compares false: singular
-    return q, x[:, :, 1:], ~(growth.max(axis=1) <= 1e12), q.min(axis=1) < -1e-12
+    q, inv = x[:, :, 0], x[:, :, 1:]
+    # NaN (an exactly singular system) compares false: singular, not negative
+    negative = q.min(axis=1) < 0.0
+    if negative.any():
+        b, qc = rhs[:, :, :1], x[:, :, :1]
+        slack = 4.0 * (K + 2) * np.finfo(float).eps * (np.abs(A) @ np.abs(qc) + b)
+        negative = (qc < -(np.abs(inv) @ (np.abs(b - A @ qc) + slack))).any(axis=(1, 2))
+    return q, inv, ~(growth.max(axis=1) <= 1e12), negative
 
 
 def _solve_batch(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:

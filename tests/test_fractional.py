@@ -18,7 +18,9 @@ from nomaopt.fractional import (
     dinkelbach_project,
     solve_maximin_lp,
 )
-from nomaopt.reduction import membership, reduce_scenario, z_from_p
+from nomaopt.experiments import RadioConfig, generate_scenario
+from nomaopt.model import Scenario
+from nomaopt.reduction import initial_vertex, membership, reduce_scenario, z_from_p
 
 from conftest import extreme_ray, k1_scenario, make_scenario, random_scenario, sym2_scenario
 
@@ -331,6 +333,42 @@ def test_projection_upper_scale_is_certified():
     for seed in range(100):
         r, z0 = extreme_ray(seed)
         _upper_scale_is_certified(r, z0, dinkelbach_project(r, z0))
+
+
+def test_projection_evaluates_the_bound_when_a_step_rounds_onto_it():
+    # from full power the lower end starts near 3e-8 with a step near
+    # 1.5e-17, so a tangent step clamped one step below the bound hi = 1
+    # rounds onto hi; with no upper end evaluated yet, hi itself is tried
+    s = Scenario(
+        num_cells=2,
+        num_subcarriers=1,
+        users_per_cell=(1, 1),
+        sic_limit=1,
+        gains=[[[8.9e-3], [2.2e-4]], [[7.1e-4], [8.3e-8]]],
+        noise_power=6.3e-15,
+        subcarrier_cap=[[1.4e-4], [3.5e-4]],
+        cell_cap=[1.4e-4, 3.5e-4],
+    )
+    r = reduce_scenario(s)
+    z0 = initial_vertex(r)
+    _upper_scale_is_certified(r, z0, dinkelbach_project(r, z0, start=r.cap_carrier.reshape(-1)))
+
+
+def test_projection_bisects_where_a_cell_switches_on():
+    # cell 1 is silent below lambda = 1 / 1.1963 = 0.8359 and the start
+    # puts the lower end just under that kink, where the tangent ignores
+    # cell 1; tangent and chord steps alone move it by about 2.5e-8 a pair
+    # and run out of evaluations, bisection closes the bracket
+    s = generate_scenario(
+        RadioConfig(num_cells=4, users_per_cell=2, fading=True, cell_radius_m=10.0, subcarrier_cap_w=1e-5),
+        seed=[0, 1],
+    )
+    r = reduce_scenario(s)
+    z0 = np.array([4175535.1481881314, 1.196300851053209, 46.94278512310315, 8049.678778639743])
+    start = [9.999999968658947e-06, 0.0, 2.728016163863932e-07, 7.698620710774628e-07]
+    res = dinkelbach_project(r, z0, start=start)
+    _upper_scale_is_certified(r, z0, res)
+    assert res.iterations <= 40
 
 
 def test_projection_upper_scale_is_lam_when_a_cap_binds():

@@ -23,7 +23,6 @@ from nomaopt.polyblock import (
     _carrier_problem,
     _CarrierSearch,
     _sum,
-    _VertexSet,
     generate_children,
     initial_vertex,
     reduce_children,
@@ -104,79 +103,101 @@ def test_children_count_matches_powered_coordinates():
 
 
 # -- pruning -----------------------------------------------------------------
-# solve() drops a child that a stored vertex covers, and after each
-# iteration every vertex whose objective cannot beat the incumbent by more
-# than epsilon.
+# solve() drops a child that a stored vertex or an earlier child covers,
+# and after each iteration every vertex whose objective cannot beat the
+# incumbent by more than epsilon.
+
+NONE = np.empty((0, 2))
 
 
-def _store(rows):
-    # each vertex's start powers are its values minus one, so tests can
-    # tell which powers travel with which vertex
-    store = _VertexSet(len(rows[0]))
-    for row in rows:
-        z = np.array(row, dtype=float)
-        store.add(z, float(np.sum(np.log(z))), z - 1.0)
-    return store
+def _search(rows):
+    """A two-coordinate carrier search whose store holds exactly ``rows``;
+    each vertex's start powers are its values minus one, so tests can tell
+    which powers travel with which vertex."""
+    g = _CarrierSearch(reduce_scenario(sym2_scenario()), [0], 0.0)
+    g.z = np.array(rows, dtype=float).reshape(-1, 2).T.copy()
+    g.f = np.log(g.z).sum(axis=0)
+    g.q = g.z - 1.0
+    return g
+
+
+def _add(g, children, t=-math.inf):
+    g.add(np.array(children, dtype=float).reshape(-1, 2), np.array([7.0, 7.0]), t)
+    return [tuple(z) for z in g.z.T]
 
 
 def test_prune_drops_dominated_vertices():
-    store = _store([[2.0, 3.0]])
-    assert store.covers(np.array([2.0, 2.0]))
-    assert not store.covers(np.array([2.0, 3.0 + 1e-12]))
-    assert not _VertexSet(2).covers(np.array([1.0, 1.0]))
+    assert _add(_search([[2.0, 3.0]]), [[2.0, 2.0]]) == [(2.0, 3.0)]
+    assert _add(_search([[2.0, 3.0]]), [[2.0, 3.0 + 1e-12]]) == [(2.0, 3.0), (2.0, 3.0 + 1e-12)]
+    assert _add(_search([]), [[1.0, 1.0]]) == [(1.0, 1.0)]
 
 
 def test_prune_keeps_incomparable_vertices():
-    store = _store([[2.0, 3.0]])
-    assert not store.covers(np.array([3.0, 2.0]))
+    assert _add(_search([[2.0, 3.0]]), [[3.0, 2.0]]) == [(2.0, 3.0), (3.0, 2.0)]
 
 
 def test_prune_equal_vertex_is_covered():
     # an equal vertex adds no box, so it counts as covered
-    store = _store([[2.0, 3.0]])
-    assert store.covers(np.array([2.0, 3.0]))
+    assert _add(_search([[2.0, 3.0]]), [[2.0, 3.0]]) == [(2.0, 3.0)]
 
 
-def _drain(store):
-    """Every stored (values, start powers) pair, in pop_best order."""
+def test_prune_earlier_child_covers_later_ones():
+    # children enter in order: an earlier child (or its duplicate) covers a
+    # later one, but a later child does not remove an earlier one
+    g = _search([[1.0, 5.0]])
+    assert _add(g, [[3.0, 3.0], [2.0, 3.0], [3.0, 3.0], [4.0, 1.0], [4.0, 2.0]]) == [
+        (1.0, 5.0), (3.0, 3.0), (4.0, 1.0), (4.0, 2.0)
+    ]
+    # the new rows start from the powers they were added with
+    assert np.array_equal(g.q[:, 1:], np.full((2, 3), 7.0))
+    assert np.array_equal(g.f, np.log(g.z).sum(axis=0))
+
+
+def _drain(g):
+    """Every stored (values, start powers) pair, in pop order."""
     popped = []
-    while store.count:
-        zc, q = store.pop_best()
+    while g.f.size:
+        zc, q = g.pop()
         popped.append((tuple(zc), tuple(q)))
     return popped
 
 
 def test_prune_applies_value_threshold():
     # objectives log 6 ~ 1.79, log 4 ~ 1.39, log 9 ~ 2.20
-    store = _store([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0]])
-    store.prune_value(math.log(4.0))
-    assert store.count == 2
-    assert [zc for zc, _ in _drain(store)] == [(3.0, 3.0), (2.0, 3.0)]
-    store = _store([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0]])
-    store.prune_value(math.log(9.0))
-    assert store.count == 0
+    g = _search([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0]])
+    g.add(NONE, np.zeros(2), math.log(4.0))
+    assert g.f.size == 2 and g.ub == math.log(9.0)
+    assert [zc for zc, _ in _drain(g)] == [(3.0, 3.0), (2.0, 3.0)]
+    g = _search([[2.0, 3.0], [2.0, 2.0], [3.0, 3.0]])
+    g.add(NONE, np.zeros(2), math.log(9.0))
+    assert g.f.size == 0
+    assert g.dropped_max == math.log(9.0) and g.ub == max(g.lb, math.log(9.0))
+    # a child at or below the threshold is never kept
+    g = _search([[3.0, 3.0]])
+    assert _add(g, [[2.0, 2.0], [1.0, 5.0]], t=math.log(5.0)) == [(3.0, 3.0)]
+    assert g.dropped_max == math.log(5.0)
 
 
 def test_start_powers_move_with_their_vertex():
     # the best vertex comes first, so popping it moves the last one into its slot
-    store = _store([[3.0, 3.0], [2.0, 2.0], [2.0, 3.0], [4.0, 1.0]])
-    assert store.dropped_max == -math.inf
-    store.prune_value(math.log(4.0))
-    assert store.dropped_max == math.log(4.0)
-    popped = _drain(store)
+    g = _search([[3.0, 3.0], [2.0, 2.0], [2.0, 3.0], [4.0, 1.0]])
+    assert g.dropped_max == -math.inf
+    g.add(NONE, np.zeros(2), math.log(4.0))
+    assert g.dropped_max == math.log(4.0)
+    popped = _drain(g)
     assert [zc for zc, _ in popped] == [(3.0, 3.0), (2.0, 3.0)]
     for zc, q in popped:
         assert np.array_equal(q, np.array(zc) - 1.0)
     # pruning an empty store drops nothing
-    store.prune_value(10.0)
-    assert store.dropped_max == math.log(4.0)
+    g.add(NONE, np.zeros(2), 10.0)
+    assert g.dropped_max == math.log(4.0)
 
 
 def test_pop_best_breaks_ties_by_largest_coordinates():
     # (2, 3) and (3, 2) tie on log 6 and beat log 5; the lexicographically
     # larger comes first, wherever it sits in the store
     for rows in ([[2.0, 3.0], [3.0, 2.0], [1.0, 5.0]], [[3.0, 2.0], [1.0, 5.0], [2.0, 3.0]]):
-        popped = _drain(_store(rows))
+        popped = _drain(_search(rows))
         assert [zc for zc, _ in popped] == [(3.0, 2.0), (2.0, 3.0), (1.0, 5.0)]
         for zc, q in popped:
             assert np.array_equal(q, np.array(zc) - 1.0)
@@ -436,11 +457,11 @@ def test_emptied_group_bound_is_its_largest_pruned_value():
     for carriers in _carrier_groups(r):
         g = _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, eps / 2)
         for _ in range(100):
-            if not g.store.count:
+            if not g.f.size:
                 break
             g.refine()
-        assert g.store.count == 0
-        assert g.lb <= g.ub == max(g.lb, g.store.dropped_max) <= g.lb + eps / 2
+        assert g.f.size == 0
+        assert g.lb <= g.ub == max(g.lb, g.dropped_max) <= g.lb + eps / 2
         # the bound still covers the carrier's own optimum
         assert g.ub >= grid_optimum(_carrier_scenario(s, carriers[0]), grid_points_per_dim=400).value - 1e-9
     res = solve(s, epsilon=eps)
@@ -523,15 +544,15 @@ def test_group_bound_covers_the_carrier_optimum_after_every_refine(monkeypatch):
             best = grid_optimum(_carrier_scenario(s, carriers[0]), grid_points_per_dim=1500 if K == 2 else 120).value
             g = _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, eps / L)
             for _ in range(200):
-                if not g.store.count:
+                if not g.f.size:
                     break
                 g.refine()
                 t, dropped, lowered = cuts[-1]
                 if dropped or lowered:
-                    assert g.store.dropped_max >= t
+                    assert g.dropped_max >= t
                 assert g.lb <= g.ub
                 assert g.ub >= best - 1e-9
-            assert g.store.count == 0
+            assert g.f.size == 0
     # both kinds of cut happen
     assert any(c[1] for c in cuts) and any(c[2] for c in cuts)
 

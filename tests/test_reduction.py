@@ -141,6 +141,62 @@ def test_power_systems_batch_verdicts_match_p_from_z():
             assert np.array_equal(qb, p_from_z(r, row + 1.0))
 
 
+def test_power_systems_verdicts_do_not_depend_on_the_power_scale():
+    # gains far below the cross gains: past the pole the solved powers are
+    # about -1e-13 W, and before it the powers are about 1e-12 W and 1e-16 W
+    g = np.array([[[1e-16], [1e-2]], [[1e-2], [1e-12]]])
+    r = reduce_scenario(make_scenario(g, noise=1e-15, subcarrier_cap=[[1e-6], [1e-4]]))
+    q, _, singular, negative = power_systems(r, np.array([[1e-7, 0.1], [1e-13, 1e-13]]))
+    assert not singular.any()
+    assert negative.tolist() == [True, False]
+    assert -1e-12 < q[0].min() < 0.0
+    with pytest.raises(InconsistentSinrError) as info:
+        p_from_z(r, [1.0 + 1e-7, 1.1])
+    assert info.value.reason == "negative"
+    # before the pole every power is at least its noise-only term
+    assert np.all(p_from_z(r, [1.0 + 1e-13, 1.0 + 1e-13]) >= [1e-12, 1e-16])
+
+
+def test_power_systems_cancellation_below_zero_is_not_past_the_pole():
+    # cell 1 asks for SINR 1000 and cell 0 for 1e-13: the pivoted solve
+    # eliminates on cell 1's row, and cell 0's power of about 1e-25 W
+    # cancels to zero or below; the system is far from its pole
+    g = [[[1.0], [1e-4]], [[1e-4], [1e-2]]]
+    r = reduce_scenario(make_scenario(g, noise=1e-13, subcarrier_cap=1e-3))
+    z = np.array([1.0 + 1e-13, 1001.0])
+    q, _, singular, negative = power_systems(r, (z - 1.0)[None])
+    assert q[0, 0] <= 0.0
+    assert not singular.any() and not negative.any()
+    assert membership(r, z)
+    p = p_from_z(r, z)
+    assert p[0] == 0.0 and p[1] > 0.0
+
+
+def test_power_systems_negative_verdict_matches_the_spectral_radius():
+    # a row is past the pole exactly when diag(gamma / g) G off its
+    # diagonal has spectral radius above 1; gains over 14 decades, noise
+    # over 4 (a -1e-12 W test errs on 8 of these rows, a test of q < b / 2
+    # on 4)
+    rng = np.random.default_rng(30)
+    checked = 0
+    for _ in range(300):
+        K = int(rng.integers(2, 6))
+        g = 10.0 ** rng.uniform(-16, -2, (K, K, 1))
+        s = make_scenario(g, noise=10.0 ** rng.uniform(-16, -12), subcarrier_cap=1.0)
+        r = reduce_scenario(s)
+        gamma = 10.0 ** rng.uniform(-14, 3, (8, K))
+        gamma[rng.random((8, K)) < 0.2] = 0.0
+        _, _, singular, negative = power_systems(r, gamma)
+        cross = r._system[1][0] * (1.0 - np.eye(K))
+        for row, sing, neg in zip(gamma, singular, negative):
+            rho = np.abs(np.linalg.eigvals(row[:, None] * cross * (row > 0.0))).max()
+            if sing or abs(rho - 1.0) < 1e-6:
+                continue
+            assert neg == (rho > 1.0), (row, rho)
+            checked += 1
+    assert checked > 2000
+
+
 def test_power_systems_rows_match_carrier_systems():
     # rows of a multi-carrier problem are its carriers, solved as p_from_z does
     rng = np.random.default_rng(23)
