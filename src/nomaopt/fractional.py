@@ -36,7 +36,6 @@ from .reduction import (
     ReducedProblem,
     _as_powers,
     _interference,
-    _over_cap,
     initial_vertex,
     p_from_z,  # noqa: F401  (the benchmark tracer patches it under this name)
     power_systems,
@@ -199,8 +198,9 @@ class _Point(NamedTuple):
     step: float = 0.0
 
 
-def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, lam: float) -> _Point:
-    """Solve for the powers of max(lam * zc, 1) and test them against the caps.
+def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, limit: np.ndarray, lam: float) -> _Point:
+    """Solve for the powers of max(lam * zc, 1) and test them against the
+    flat carrier caps; ``limit`` is caps with inf for zero caps, the divisor of h.
 
     With A q = gamma N / g, the derivative is dq/dlam = A^-1 diag(zc / gamma) q
     (zero where gamma = 0, the left derivative at a kink).
@@ -214,8 +214,8 @@ def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, lam: float) -
     q = q.T.reshape(-1)
     if q.min() < 0.0:
         q = np.maximum(q, 0.0)  # round-off below zero, within the verdict's room
-    h = float(np.max(q / np.where(caps > 0.0, caps, np.inf))) - 1.0
-    if np.any(_over_cap(r, q, 0.0)):
+    h = float((q / limit).max()) - 1.0
+    if (q > caps).any():
         return _Point(lam, z, q, h, False)
     rate = np.divide(zc * q, gamma, out=np.zeros_like(q), where=gamma > 0.0)
     dq = np.matmul(inv, rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1)
@@ -294,6 +294,7 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
     if zc.shape[0] != r.dim or not np.all(np.isfinite(zc) & (zc >= 1.0)):
         raise ValueError(f"need {r.dim} finite ray entries >= 1")
     caps = r.cap_carrier.reshape(-1)
+    limit = np.where(caps > 0.0, caps, np.inf)
     q = np.zeros(r.dim)
     if start is not None:
         q = np.asarray(start, dtype=float).reshape(-1)
@@ -301,13 +302,13 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
             raise ValueError("start powers must lie within the carrier caps")
     ratios = compute_nd(r, q)[2]
     hi = float(np.min(initial_vertex(r) / zc))
-    lo = _evaluate(r, zc, caps, float(np.min(ratios / zc)))
+    lo = _evaluate(r, zc, caps, limit, float(np.min(ratios / zc)))
     up = None
     evaluations = 1
     if not lo.ok:
         # round-off at a start on the boundary; with every gamma = 0 silence is realizable
         up, hi = lo, lo.lam
-        lo = _evaluate(r, zc, caps, 1.0 / float(np.max(zc)))
+        lo = _evaluate(r, zc, caps, limit, 1.0 / float(np.max(zc)))
         evaluations += 1
     lambdas = [lo.lam]
     step, width, stalls = "tangent", hi - lo.lam, 0
@@ -320,7 +321,7 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
                 f"no convergence in {_MAX_EVALUATIONS} evaluations (bracket [{lo.lam!r}, {hi!r}])",
                 lambdas,
             )
-        pt = _evaluate(r, zc, caps, t)
+        pt = _evaluate(r, zc, caps, limit, t)
         evaluations += 1
         if pt.ok:
             lo = pt

@@ -341,7 +341,25 @@ class DecodingOrder:
     position: tuple
 
 
+def _memo(s: Scenario, name: str, compute):
+    """compute(s), worked out on the first call for s and kept on it.
+
+    A Scenario never changes, and ``dataclasses.replace`` builds a new
+    instance, so a kept value cannot go stale."""
+    try:
+        return s.__dict__[name]
+    except KeyError:
+        value = compute(s)
+        object.__setattr__(s, name, value)
+        return value
+
+
 def build_decoding_order(s: Scenario) -> DecodingOrder:
+    """Decoding order of s, computed once per Scenario (see ``_memo``)."""
+    return _memo(s, "_decoding_order", _decoding_order)
+
+
+def _decoding_order(s: Scenario) -> DecodingOrder:
     order = []
     position = []
     for k, m in enumerate(s.users_per_cell):
@@ -461,8 +479,13 @@ def sic_always_feasible(s: Scenario) -> bool:
     Checks, for every cell, carrier and decode-ordered user pair, that each
     interfering base station's gain-product coefficient in the pair margin
     is non-negative; then no power choice can make any margin negative.
-    Comparisons allow relative round-off on the gain products.
+    Comparisons allow relative round-off on the gain products. Computed
+    once per Scenario (see ``_memo``).
     """
+    return _memo(s, "_sic_always_feasible", _sic_always_feasible)
+
+
+def _sic_always_feasible(s: Scenario) -> bool:
     order = build_decoding_order(s)
     for k, m in enumerate(s.users_per_cell):
         off = s._user_offsets[k]

@@ -216,8 +216,9 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
     a = np.maximum(np.exp(t - f + logs - slack), 1.0)
     q, _, singular, negative = power_systems(r, a - 1.0)
     over = np.any(_over_cap(r, q), axis=1)
-    scale, cross = r._system
-    den = scale * r.scenario.noise_power + np.maximum(q, 0.0) @ cross[0].T
+    scale, neg_cross = r._system
+    # minus the product with the negated gains is plus the product with the gains, bit for bit
+    den = scale * r.scenario.noise_power - np.maximum(q, 0.0) @ neg_cross[0].T
     bound = 1.0 + r.cap_carrier.reshape(-1) / den * (1.0 + _CAP_RTOL)
     keep = singular | (f[:, 0] <= t)
     lowered = np.where(keep[:, None], children, np.minimum(children, bound))

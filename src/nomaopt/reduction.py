@@ -93,10 +93,10 @@ class ReducedProblem:
     @cached_property
     def _system(self) -> tuple[np.ndarray, np.ndarray]:
         """Constants of ``power_systems``: per carrier, the row scale
-        1 / g_kk (L, K) and the cross gains g_kj / g_kk (L, K, K)."""
+        1 / g_kk (L, K) and the negated cross gains -g_kj / g_kk (L, K, K)."""
         scale = 1.0 / self.gain_active.T
         cross = np.ascontiguousarray(np.transpose(self.gain_cross, (1, 0, 2))) * scale[:, :, None]
-        return scale, cross
+        return scale, -cross
 
 
 def reduce_scenario(s: Scenario) -> ReducedProblem:
@@ -241,11 +241,11 @@ def power_systems(
     zero stays within the bound; callers clamp it to 0.
     """
     B, K = gamma.shape
-    scale, cross = r._system
-    on = gamma > 0.0
-    A = gamma[:, :, None] * -cross * on[:, None, :]
-    diag = np.arange(K)
-    A[:, diag, diag] = 1.0
+    scale, neg_cross = r._system
+    A = np.multiply(gamma[:, :, None], neg_cross, out=np.empty((B, K, K)))
+    A *= gamma[:, None, :] > 0.0
+    # flat positions k (K + 1) address the diagonal (A is C-contiguous)
+    A.reshape(B, K * K)[:, :: K + 1] = 1.0
     rhs = np.zeros((B, K, K + 1))
     rhs[:, :, 0] = gamma * scale * r.scenario.noise_power
     # the inverse's columns start one right: flat positions k (K + 2) + 1

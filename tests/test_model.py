@@ -5,8 +5,10 @@ derivation or an independent one-off computation (plain arithmetic on the
 SINR formula), never from running the code under test first.
 """
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -433,6 +435,30 @@ def test_sic_always_feasible_flags_coefficients():
 def test_sic_always_feasible_single_cell():
     s = make_scenario([[[1.0], [2.0]]])
     assert sic_always_feasible(s)
+
+
+def test_scenario_only_results_are_kept_per_instance():
+    # the "bad" instance above: cell 0 decodes user 0 first, and BS 1 breaks SIC
+    s = make_scenario([[[1.0], [2.0], [1.0]], [[0.5], [3.0], [1.0]]], users_per_cell=(2, 1), subcarrier_cap=1.0)
+    order, flag = build_decoding_order(s), sic_always_feasible(s)
+    assert build_decoding_order(s) is order and sic_always_feasible(s) is flag
+    fresh = Scenario.from_json(s.to_json())
+    assert (build_decoding_order(fresh), sic_always_feasible(fresh)) == (order, flag)
+    assert (order.order, flag) == ((((0, 1),), ((0,),)), False)
+
+    # BS 0's gains to cell 0's users swapped: user 1 is decoded first, and SIC always holds
+    gains = s.gains.copy()
+    gains[0, [0, 1]] = gains[0, [1, 0]]
+    swapped = dataclasses.replace(s, gains=gains)
+    assert build_decoding_order(swapped).order == (((1, 0),), ((0,),))
+    assert sic_always_feasible(swapped)
+    assert (build_decoding_order(s), sic_always_feasible(s)) == (order, flag)
+
+    # sweep workers receive their scenarios pickled, with or without kept values
+    for sc in (s, swapped, Scenario.from_json(swapped.to_json())):
+        back = pickle.loads(pickle.dumps(sc))
+        assert build_decoding_order(back) == build_decoding_order(sc)
+        assert sic_always_feasible(back) == sic_always_feasible(sc)
 
 
 # -- feasibility report ----------------------------------------------------

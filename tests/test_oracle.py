@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nomaopt.experiments import RadioConfig, generate_scenario
+from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
 from nomaopt.model import ScenarioError
 from nomaopt.oracle import baseline_full_power, baseline_greedy, grid_optimum
 from nomaopt.polyblock import solve
@@ -210,6 +210,51 @@ def test_greedy_sweep_count_must_be_an_integer():
         baseline_greedy(s, sweeps=-1)
     a, b = baseline_greedy(s, sweeps=2.0), baseline_greedy(s, sweeps=2)
     assert (a.iterations, a.sum_rate_nats) == (b.iterations, b.sum_rate_nats)
+
+
+def test_greedy_stall_tolerance_must_be_finite_and_not_negative():
+    s = sym2_scenario()
+    for stall_tol in (math.nan, math.inf, -math.inf, True, "1e-6", None):
+        with pytest.raises(ScenarioError, match="stall_tol must be a finite number"):
+            baseline_greedy(s, stall_tol=stall_tol)
+    with pytest.raises(ValueError, match="stall_tol must not be negative"):
+        baseline_greedy(s, stall_tol=-1e-9)
+    a, b = baseline_greedy(s, stall_tol=0), baseline_greedy(s, stall_tol=0.0)
+    assert (a.iterations, a.sum_rate_nats) == (b.iterations, b.sum_rate_nats)
+
+
+# -- two cells: binary power is optimal ------------------------------------------
+
+
+def _corner_optimum(r) -> float:
+    """Best sum rate of a two-cell reduced problem. With two links on a
+    carrier the optimal powers are binary, one link at its cap and the
+    other at its cap or silent (Gjendemsjoe, Gesbert, Oien and Kiani,
+    IEEE TWC 7(8), 2008), and carriers do not interact."""
+    N = r.scenario.noise_power
+    total = 0.0
+    for l in range(r.gain_active.shape[1]):
+        (g0, g1), (p0, p1) = r.gain_active[:, l], r.cap_carrier[:, l]
+        both = math.log1p(g0 * p0 / (N + r.gain_cross[0, l, 1] * p1)) + math.log1p(
+            g1 * p1 / (N + r.gain_cross[1, l, 0] * p0)
+        )
+        total += max(both, math.log1p(g0 * p0 / N), math.log1p(g1 * p1 / N))
+    return total
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("fading", [False, True])
+def test_two_cell_corner_optimum_lies_in_every_certified_interval(L, fading):
+    for seed in range(4):
+        base = generate_scenario(RadioConfig(num_subcarriers=L, fading=fading), seed=[seed, L])
+        for cap in (1e-7, 1e-6, 1e-5, 1e-4):
+            s = scenario_with_caps(base, cap)
+            best = _corner_optimum(reduce_scenario(s))
+            res = solve(s, 0.01)
+            assert res.certified
+            assert res.sum_rate_nats <= best + 1e-9
+            assert best <= res.upper_bound + 1e-9
+            assert baseline_greedy(s).sum_rate_nats <= best + 1e-9
 
 
 # -- the shared result builder ---------------------------------------------------

@@ -187,7 +187,7 @@ def test_power_systems_negative_verdict_matches_the_spectral_radius():
         gamma = 10.0 ** rng.uniform(-14, 3, (8, K))
         gamma[rng.random((8, K)) < 0.2] = 0.0
         _, _, singular, negative = power_systems(r, gamma)
-        cross = r._system[1][0] * (1.0 - np.eye(K))
+        cross = -r._system[1][0] * (1.0 - np.eye(K))
         for row, sing, neg in zip(gamma, singular, negative):
             rho = np.abs(np.linalg.eigvals(row[:, None] * cross * (row > 0.0))).max()
             if sing or abs(rho - 1.0) < 1e-6:

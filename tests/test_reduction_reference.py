@@ -1,7 +1,14 @@
 """``reduce_scenario`` gathers the served users' gains with numpy fancy
 indexing. The per-entry loop it replaced is kept here as the reference.
 Both copy the same gain entries, so the reduced arrays, their flags and
-the active indices must agree bit for bit, ties included."""
+the active indices must agree bit for bit, ties included.
+
+``power_systems`` keeps the negated scaled cross gains with the problem
+and sets the diagonal through a strided view, and ``reduce_children``
+subtracts the product with those negated gains. The bodies they replaced,
+which negate the gains and index the diagonal on every call and add the
+product with the gains, are kept here too. Negating a float is exact, so
+the powers, inverses and verdicts must agree bit for bit."""
 
 import dataclasses
 
@@ -11,7 +18,16 @@ from hypothesis import strategies as st
 
 from nomaopt.experiments import RadioConfig, generate_scenario
 from nomaopt.model import Scenario
-from nomaopt.reduction import ReducedProblem, UnsupportedWeightsError, reduce_scenario
+from nomaopt.polyblock import reduce_children
+from nomaopt.reduction import (
+    _CAP_RTOL,
+    ReducedProblem,
+    UnsupportedWeightsError,
+    _over_cap,
+    _solve_batch,
+    power_systems,
+    reduce_scenario,
+)
 
 from conftest import make_scenario
 
@@ -106,3 +122,96 @@ def test_reduction_matches_the_per_entry_reference(s):
     assert all(type(i) is int for i in got.active)
     assert got.scenario is s
 
+
+
+# -- the reference: power systems with the gains negated on every call ------------
+
+
+def _ref_system(r):
+    scale = 1.0 / r.gain_active.T
+    cross = np.ascontiguousarray(np.transpose(r.gain_cross, (1, 0, 2))) * scale[:, :, None]
+    return scale, cross
+
+
+def ref_power_systems(r, gamma):
+    B, K = gamma.shape
+    scale, cross = _ref_system(r)
+    on = gamma > 0.0
+    A = gamma[:, :, None] * -cross * on[:, None, :]
+    diag = np.arange(K)
+    A[:, diag, diag] = 1.0
+    rhs = np.zeros((B, K, K + 1))
+    rhs[:, :, 0] = gamma * scale * r.scenario.noise_power
+    rhs.reshape(B, K * (K + 1))[:, 1 :: K + 2] = 1.0
+    x = _solve_batch(A, rhs)
+    growth = np.abs(x.reshape(B, K * (K + 1))[:, 1 :: K + 2])
+    q, inv = x[:, :, 0], x[:, :, 1:]
+    negative = q.min(axis=1) < 0.0
+    if negative.any():
+        b, qc = rhs[:, :, :1], x[:, :, :1]
+        slack = 4.0 * (K + 2) * np.finfo(float).eps * (np.abs(A) @ np.abs(qc) + b)
+        negative = (qc < -(np.abs(inv) @ (np.abs(b - A @ qc) + slack))).any(axis=(1, 2))
+    return q, inv, ~(growth.max(axis=1) <= 1e12), negative
+
+
+def ref_reduce_children(r, children, t):
+    logs = np.log(children)
+    f = logs.sum(axis=1, keepdims=True)
+    slack = 4.0 * (children.shape[1] + 2) * np.finfo(float).eps * (1.0 + abs(t) + f)
+    a = np.maximum(np.exp(t - f + logs - slack), 1.0)
+    q, _, singular, negative = ref_power_systems(r, a - 1.0)
+    over = np.any(_over_cap(r, q), axis=1)
+    scale, cross = _ref_system(r)
+    den = scale * r.scenario.noise_power + np.maximum(q, 0.0) @ cross[0].T
+    bound = 1.0 + r.cap_carrier.reshape(-1) / den * (1.0 + _CAP_RTOL)
+    keep = singular | (f[:, 0] <= t)
+    lowered = np.where(keep[:, None], children, np.minimum(children, bound))
+    return lowered[keep | ~(negative | over)]
+
+
+def _batches(rng):
+    """(reduced problem, SINR rows) pairs: random gains across 1e-16-1e-4 at
+    noise 1e-13, K 1-5, L 1-3, SINRs from well before to far past the pole,
+    a fifth of them 0; one row per carrier, passed as the transposed view
+    the line search passes, or with one carrier up to 8 rows. Then a
+    two-cell problem whose scaled cross gains are exactly 1, with exactly
+    singular rows (gamma_0 gamma_1 = 1) and rows past the pole."""
+    for _ in range(400):
+        K, L = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        g = 10.0 ** rng.uniform(-16.0, -4.0, (K, K, L))
+        caps = rng.choice([0.0, 1e-6, 1e-3], (K, L))
+        r = reduce_scenario(make_scenario(g, noise=1e-13, subcarrier_cap=caps))
+        B = int(rng.integers(1, 9)) if L == 1 else L
+        gamma = 10.0 ** rng.uniform(-6.0, 6.0, (K, B)) * (rng.random((K, B)) > 0.2)
+        yield r, gamma.T
+    r = reduce_scenario(make_scenario(np.full((2, 2, 1), 1e-9), noise=1e-13))
+    yield r, np.array([[2.0, 0.5], [0.5, 2.0], [0.25, 4.0], [4.0, 4.0], [3.0, 1.0], [0.0, 9.0], [0.5, 0.5]])
+
+
+def test_power_systems_match_the_negating_reference():
+    seen = {"singular": 0, "negative": 0, "zero": 0, "solved": 0}
+    for r, gamma in _batches(np.random.default_rng(18)):
+        got, ref = power_systems(r, gamma), ref_power_systems(r, gamma)
+        for name, a, b in zip(("q", "inv", "singular", "negative"), got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        q, _, singular, negative = got
+        seen["singular"] += int(singular.sum())
+        seen["negative"] += int((negative & ~singular).sum())
+        seen["zero"] += int((gamma == 0.0).any(axis=1).sum())
+        seen["solved"] += int((~singular & ~negative & (q > 0.0).any(axis=1)).sum())
+    assert min(seen.values()) >= 3, seen
+
+
+def test_reduce_children_matches_the_positive_gain_reference():
+    rng = np.random.default_rng(19)
+    kept = 0
+    for _ in range(200):
+        K = int(rng.integers(1, 6))
+        g = 10.0 ** rng.uniform(-16.0, -4.0, (K, K, 1))
+        r = reduce_scenario(make_scenario(g, noise=1e-13, subcarrier_cap=rng.choice([0.0, 1e-6, 1e-3], (K, 1))))
+        children = 1.0 + 10.0 ** rng.uniform(-3.0, 4.0, (int(rng.integers(1, 9)), K))
+        t = float(rng.uniform(0.0, 1.0)) * float(np.log(children).sum(axis=1).max())
+        got, ref = reduce_children(r, children, t), ref_reduce_children(r, children, t)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        kept += got.shape[0]
+    assert kept > 0
