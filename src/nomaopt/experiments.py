@@ -416,8 +416,8 @@ def power_sweep(cfg: RadioConfig, caps, epsilons, trials: int, threads: int = 1)
     from its own (seed, trial) stream and results are collected in trial
     order, so records and rows are bit-for-bit those of a serial run.
     """
-    caps = [float(c) for c in caps]
-    epsilons = [float(e) for e in epsilons]
+    caps = [_real(c, "cap") for c in caps]
+    epsilons = [_real(e, "epsilon") for e in epsilons]
     trials, threads = _integer(trials, "trials"), _integer(threads, "threads")
     if not caps or not epsilons or trials < 1 or threads < 1:
         raise ValueError("need caps, epsilons, at least one trial and at least one worker")
@@ -486,7 +486,7 @@ def runtime_bench(cfg: RadioConfig, epsilons, trials: int) -> BenchResult:
     Trials run one after another in this process: this reports per-solve
     wall times, which parallel workers sharing the cores would inflate.
     """
-    epsilons = [float(e) for e in epsilons]
+    epsilons = [_real(e, "epsilon") for e in epsilons]
     trials = _integer(trials, "trials")
     if not epsilons or trials < 1:
         raise ValueError("need epsilons and at least one trial")

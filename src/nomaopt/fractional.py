@@ -34,8 +34,7 @@ import numpy as np
 
 from .reduction import (
     ReducedProblem,
-    _as_powers,
-    _interference,
+    compute_nd,
     initial_vertex,
     p_from_z,  # noqa: F401  (the benchmark tracer patches it under this name)
     power_systems,
@@ -46,7 +45,6 @@ __all__ = [
     "MaximinLP",
     "ProjectionError",
     "ProjectionResult",
-    "compute_nd",
     "build_maximin_lp",
     "solve_maximin_lp",
     "dinkelbach_project",
@@ -81,18 +79,6 @@ class MaximinLP:
     t_floor: float
     lam: float
     z: np.ndarray
-
-
-def compute_nd(r: ReducedProblem, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Numerators, denominators and ratios n/d at reduced powers q (watts).
-
-    n = serving power term + interference + noise and d = interference +
-    noise, per entry, so ratios = n / d = 1 + SINR.
-    """
-    q = _as_powers(r, q)
-    d = _interference(r, q) + r.scenario.noise_power
-    n = r.gain_active.reshape(-1) * q + d
-    return n, d, n / d
 
 
 def build_maximin_lp(r: ReducedProblem, lam: float, z, d_prev) -> MaximinLP:

@@ -28,7 +28,7 @@ from .model import Scenario, _integer, _real
 # unused here: the benchmark tracer patches the model calls under these names
 from .model import build_decoding_order, check_feasible, sic_always_feasible, sum_rate  # noqa: F401
 from .polyblock import SolveResult
-from .reduction import reduce_scenario, sum_rate_from_powers, z_from_p
+from .reduction import reduce_scenario, sum_rate_from_powers
 
 __all__ = ["GridOptimum", "grid_optimum", "baseline_full_power", "baseline_greedy"]
 
@@ -150,7 +150,7 @@ def baseline_full_power(s: Scenario) -> SolveResult:
     t0 = time.perf_counter()
     r = reduce_scenario(s)
     q = r.cap_carrier.reshape(-1)
-    return SolveResult.from_powers(r, q, z_from_p(r, q), t0, algorithm="full-power", iterations=0, **_HEURISTIC)
+    return SolveResult.from_powers(r, q, t0, algorithm="full-power", iterations=0, **_HEURISTIC)
 
 
 def _golden_max(fun, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -221,4 +221,4 @@ def baseline_greedy(s: Scenario, sweeps: int = 50, stall_tol: float = 1e-6) -> S
             trial[j] = q[j]
         if gained < stall_tol:
             break
-    return SolveResult.from_powers(r, q, z_from_p(r, q), t0, algorithm="greedy", iterations=used, **_HEURISTIC)
+    return SolveResult.from_powers(r, q, t0, algorithm="greedy", iterations=used, **_HEURISTIC)

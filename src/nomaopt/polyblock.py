@@ -46,13 +46,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import compute_nd, dinkelbach_project
+from .fractional import dinkelbach_project
 from .model import (
     LN2,
     Allocation,
     FeasibilityReport,
     Scenario,
     _integer,
+    _real,
     _write_csv,
     build_decoding_order,
     check_feasible,
@@ -67,6 +68,7 @@ from .reduction import (
     initial_vertex,
     power_systems,
     reduce_scenario,
+    z_from_p,
 )
 
 __all__ = [
@@ -103,8 +105,9 @@ class SolveResult:
     float lb + epsilon / L as its bound, so the gap can pass epsilon by a
     few ulps of the bound.
     ``status`` is "optimal", "budget_exceeded", or "heuristic". ``z`` is
-    the read-only flat reduced array of shifted SINRs; ``to_json_dict``
-    alone expands it to canonical length, zero off the served entries.
+    the read-only flat reduced array of the shifted SINRs the powers
+    achieve; ``to_json_dict`` alone expands it to canonical length, zero
+    off the served entries.
     """
 
     algorithm: str
@@ -129,10 +132,11 @@ class SolveResult:
         object.__setattr__(self, "z", z)
 
     @classmethod
-    def from_powers(cls, r: ReducedProblem, q, z, t0: float, **fields) -> SolveResult:
+    def from_powers(cls, r: ReducedProblem, q, t0: float, **fields) -> SolveResult:
         """Result of a run begun at perf_counter t0 and ended at the flat reduced
-        powers q with shifted SINRs z, scored through the full system model;
-        the wall time is taken before the SIC flag and feasibility report.
+        powers q, scored through the full system model, with the shifted
+        SINRs they achieve (``z_from_p``); the wall time is taken before the
+        SIC flag and feasibility report.
         ``fields`` are the run's own: algorithm, epsilon, iterations,
         projections, upper_bound, certified, status and trace."""
         s = r.scenario
@@ -140,7 +144,7 @@ class SolveResult:
         nats = sum_rate(s, build_decoding_order(s), alloc)
         return cls(
             allocation=alloc,
-            z=z,
+            z=z_from_p(r, q),
             sum_rate_nats=nats,
             sum_rate_bits=nats / LN2,
             wall_time_s=time.perf_counter() - t0,
@@ -289,13 +293,11 @@ class _CarrierSearch:
         self.m = len(carriers)
         self.tol = tol
         self.lb = 0.0
-        self.best_c = np.ones(r.dim)
         self.best_q = np.zeros(r.dim)
         full = r.cap_carrier.reshape(-1).astype(float)
-        ratios = compute_nd(r, full)[2]
-        f_full = float(np.sum(np.log(ratios)))
+        f_full = float(np.sum(np.log(z_from_p(r, full))))
         if f_full > self.lb:
-            self.lb, self.best_c, self.best_q = f_full, ratios, full
+            self.lb, self.best_q = f_full, full
         z0 = initial_vertex(r)
         self.z, self.f, self.q = z0[:, None], np.log(z0).sum(keepdims=True), full[:, None]
         self.dropped_max = -math.inf
@@ -349,7 +351,7 @@ class _CarrierSearch:
         proj = dinkelbach_project(self.r, parent, start=start)
         f_proj = float(np.sum(np.log(proj.z_proj)))
         if f_proj >= self.lb:
-            self.lb, self.best_c, self.best_q = f_proj, proj.z_proj, proj.powers
+            self.lb, self.best_q = f_proj, proj.powers
 
         t = self.lb + self.tol
         children = generate_children(parent, upper=np.maximum(proj.lam_upper * parent, 1.0))
@@ -385,7 +387,8 @@ def solve(
     and the loop stops when the summed gap is at most epsilon. Iteration
     and vertex budgets are totals over groups.
     """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
+    epsilon = _real(epsilon, "epsilon")
+    if epsilon <= 0:
         raise ValueError("epsilon must be a positive finite number")
     max_iterations = _integer(max_iterations, "max_iterations")
     max_vertices = _integer(max_vertices, "max_vertices")
@@ -419,13 +422,11 @@ def solve(
 
     f_best = _sum(g.m * g.lb for g in groups)
     q = np.zeros((K, L))
-    zc = np.ones((K, L))
     for g in groups:
         q[:, g.carriers] = g.best_q[:, None]
-        zc[:, g.carriers] = g.best_c[:, None]
     upper = _sum(g.m * g.ub for g in groups)
     result = SolveResult.from_powers(
-        r, q.reshape(-1), zc.reshape(-1), t0, algorithm="polyblock", epsilon=float(epsilon),
+        r, q.reshape(-1), t0, algorithm="polyblock", epsilon=epsilon,
         iterations=iterations, projections=iterations, upper_bound=float(upper),
         certified=certified, status=status, trace=tuple(trace),
     )

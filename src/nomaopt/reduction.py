@@ -23,13 +23,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Allocation, Scenario
+from .model import Allocation, Scenario, _memo
 
 __all__ = [
     "ReducedProblem",
     "UnsupportedWeightsError",
     "InconsistentSinrError",
     "reduce_scenario",
+    "compute_nd",
     "z_from_p",
     "p_from_z",
     "power_systems",
@@ -104,10 +105,15 @@ def reduce_scenario(s: Scenario) -> ReducedProblem:
 
     Ties go to the lowest user index. Only uniform unit weights are
     supported; the all-power-to-the-best-user argument does not cover
-    weighted objectives.
+    weighted objectives, and every call checks them. The problem itself is
+    computed once per Scenario (see ``model._memo``).
     """
     if np.any(s.weights != 1.0):
         raise UnsupportedWeightsError("the reduction requires all rate weights equal to 1")
+    return _memo(s, "_reduced", _reduce_scenario)
+
+
+def _reduce_scenario(s: Scenario) -> ReducedProblem:
     K, L = s.num_cells, s.num_subcarriers
     M = s.users_per_cell
     first = [s.global_user(k, 0) for k in range(K)]
@@ -140,14 +146,6 @@ def reduce_scenario(s: Scenario) -> ReducedProblem:
     )
 
 
-def _interference(r: ReducedProblem, q: np.ndarray) -> np.ndarray:
-    """Inter-cell interference power at each served user, flat (K*L,)."""
-    K, L = r.gain_active.shape
-    qm = q.reshape(K, L)
-    inter = np.einsum("klj,jl->kl", r.gain_cross, qm)
-    return inter.reshape(-1)
-
-
 def _as_powers(r: ReducedProblem, q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != r.dim:
@@ -170,11 +168,23 @@ def _as_sinrs(z, dim: int | None = None) -> np.ndarray:
     return np.maximum(z, 1.0)
 
 
-def z_from_p(r: ReducedProblem, q) -> np.ndarray:
-    """Shifted SINRs achieved by reduced powers q (flat, watts), flat (K*L,)."""
+def compute_nd(r: ReducedProblem, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerators, denominators and ratios n/d at reduced powers q (flat, watts).
+
+    d = inter-cell interference + noise and n = serving power term + d, per
+    entry, so ratios = n / d = 1 + SINR, the only evaluation of it.
+    """
     q = _as_powers(r, q)
-    den = _interference(r, q) + r.scenario.noise_power
-    return 1.0 + r.gain_active.reshape(-1) * q / den
+    K, L = r.gain_active.shape
+    d = np.einsum("klj,jl->kl", r.gain_cross, q.reshape(K, L)).reshape(-1) + r.scenario.noise_power
+    n = r.gain_active.reshape(-1) * q + d
+    return n, d, n / d
+
+
+def z_from_p(r: ReducedProblem, q) -> np.ndarray:
+    """Shifted SINRs achieved by reduced powers q (flat, watts), flat (K*L,):
+    the ratios of ``compute_nd``."""
+    return compute_nd(r, q)[2]
 
 
 def initial_vertex(r: ReducedProblem) -> np.ndarray:
@@ -315,8 +325,8 @@ def membership(r: ReducedProblem, z, tol: float = _CAP_RTOL) -> bool:
 def sum_rate_from_powers(r: ReducedProblem, q) -> float:
     """Sum rate in nats achieved by reduced powers q, computed directly."""
     q = _as_powers(r, q)
-    den = _interference(r, q) + r.scenario.noise_power
-    return float(np.sum(np.log1p(r.gain_active.reshape(-1) * q / den)))
+    d = compute_nd(r, q)[1]
+    return float(np.sum(np.log1p(r.gain_active.reshape(-1) * q / d)))
 
 
 def allocation_from_powers(r: ReducedProblem, q) -> Allocation:

@@ -27,6 +27,17 @@ def test_every_exported_name_resolves():
     assert not missing
     assert len(nomaopt.__all__) == len(set(nomaopt.__all__))
 
+    # one implementation per name: modules that export the same name export one object
+    exporters = {}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            exporters.setdefault(name, []).append(module)
+    split = [
+        name for name, mods in exporters.items() if len({id(getattr(m, name)) for m in mods}) > 1
+    ]
+    assert not split
+    assert nomaopt.compute_nd.__module__ == "nomaopt.reduction"
+
 
 def test_exceptions_pickle_round_trip():
     # a worker process hands its error to the caller pickled

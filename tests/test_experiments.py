@@ -435,6 +435,17 @@ def test_sweep_counts_must_be_integers():
     assert power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=2.0, threads=1.0).rows[0].trials == 2
 
 
+def test_sweep_caps_and_epsilons_must_be_numbers():
+    # these once ran at caps of 1e-5 W and 1 W with epsilon 1
+    with pytest.raises(ScenarioError, match="cap must be a finite number"):
+        power_sweep(SMALL, caps=["1e-5", True], epsilons=[True], trials=1)
+    for caps, epsilons in (([True], [0.5]), ([1e-7], [True]), ([1e-7], ["0.5"]), ([float("inf")], [0.5])):
+        with pytest.raises(ScenarioError, match="must be a finite number"):
+            power_sweep(SMALL, caps=caps, epsilons=epsilons, trials=1)
+    res = power_sweep(SMALL, caps=[np.float32(1e-7)], epsilons=[1], trials=1)
+    assert [type(v) for v in (res.rows[0].cap_w, res.rows[0].epsilon)] == [float, float]
+
+
 def test_sweep_rejects_repeated_values():
     # a repeat would write its rows twice, each counting both copies' trials
     with pytest.raises(ValueError, match="caps"):
@@ -473,6 +484,13 @@ def test_bench_trial_count_must_be_an_integer():
         with pytest.raises(ScenarioError, match="trials must be an integer"):
             runtime_bench(SMALL, epsilons=[0.5], trials=trials)
     assert len(runtime_bench(SMALL, epsilons=[0.5], trials=2.0).records) == 2 * 3
+
+
+def test_bench_epsilons_must_be_numbers():
+    for epsilons in ([True], ["0.5"], [float("nan")]):
+        with pytest.raises(ScenarioError, match="epsilon must be a finite number"):
+            runtime_bench(SMALL, epsilons=epsilons, trials=1)
+    assert type(runtime_bench(SMALL, epsilons=[1], trials=1).rows[0].epsilon) is float
 
 
 def test_bench_rejects_repeated_epsilons():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
 from nomaopt.oracle import _HEURISTIC, _golden_max, baseline_greedy
 from nomaopt.polyblock import SolveResult
-from nomaopt.reduction import reduce_scenario, sum_rate_from_powers, z_from_p
+from nomaopt.reduction import reduce_scenario, sum_rate_from_powers
 
 from conftest import make_scenario
 
@@ -48,7 +48,7 @@ def ref_baseline_greedy(s, sweeps=50, stall_tol=1e-6):
                     f = cand_v
         if gained < stall_tol:
             break
-    return SolveResult.from_powers(r, q, z_from_p(r, q), t0, algorithm="greedy", iterations=used, **_HEURISTIC)
+    return SolveResult.from_powers(r, q, t0, algorithm="greedy", iterations=used, **_HEURISTIC)
 
 
 # -- random instances ------------------------------------------------------------

@@ -26,6 +26,7 @@ from nomaopt.model import (
     sinr,
     sum_rate,
 )
+from nomaopt.reduction import UnsupportedWeightsError, _reduce_scenario, reduce_scenario
 
 from conftest import k1_scenario, make_scenario, random_scenario, sym2_scenario
 
@@ -459,6 +460,40 @@ def test_scenario_only_results_are_kept_per_instance():
         back = pickle.loads(pickle.dumps(sc))
         assert build_decoding_order(back) == build_decoding_order(sc)
         assert sic_always_feasible(back) == sic_always_feasible(sc)
+
+
+def _reduced_fields(r):
+    arrays = (r.best_user, r.gain_active, r.gain_cross, r.cap_carrier)
+    return (r.active, *(a.tobytes() for a in arrays))
+
+
+def test_reduced_problem_is_kept_per_instance():
+    s = make_scenario([[[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]], [[0.5, 1.0], [3.0, 1.0], [1.0, 4.0]]],
+                      users_per_cell=(2, 1), subcarrier_cap=1.0)
+    r = reduce_scenario(s)
+    assert reduce_scenario(s) is r and r.scenario is s
+    assert _reduced_fields(r) == _reduced_fields(_reduce_scenario(s))
+    assert r.best_user.tolist() == [[1, 0], [0, 0]]
+
+    # cell 0's users swapped on carrier 0: user 0 is served there
+    gains = s.gains.copy()
+    gains[:, [0, 1], 0] = gains[:, [1, 0], 0]
+    swapped = dataclasses.replace(s, gains=gains)
+    assert reduce_scenario(swapped).best_user.tolist() == [[0, 0], [0, 0]]
+    assert reduce_scenario(s) is r
+
+    # a pickled scenario brings its kept problem, which refers back to it
+    back = pickle.loads(pickle.dumps(s))
+    assert "_reduced" in vars(back) and reduce_scenario(back).scenario is back
+    assert _reduced_fields(reduce_scenario(back)) == _reduced_fields(r)
+    fresh = pickle.loads(pickle.dumps(Scenario.from_json(swapped.to_json())))
+    assert _reduced_fields(reduce_scenario(fresh)) == _reduced_fields(reduce_scenario(swapped))
+
+    # the weights are checked on every call, not only the first
+    weighted = make_scenario([[[1.0]]], weights=[2.0])
+    for _ in range(2):
+        with pytest.raises(UnsupportedWeightsError):
+            reduce_scenario(weighted)
 
 
 # -- feasibility report ----------------------------------------------------

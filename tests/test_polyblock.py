@@ -626,6 +626,11 @@ def test_solve_epsilon_validation():
         solve(s, epsilon=-1.0)
     with pytest.raises(ValueError):
         solve(s, epsilon=float("inf"))
+    # a bool once solved at epsilon 1 and a string raised TypeError
+    for value in (True, "0.1", None, float("nan")):
+        with pytest.raises(ScenarioError, match="epsilon must be a finite number"):
+            solve(s, epsilon=value)
+    assert solve(s, epsilon=1).epsilon == 1.0 and type(solve(s, np.float32(0.5)).epsilon) is float
 
 
 def test_solve_result_json_dict():

@@ -8,7 +8,11 @@ and sets the diagonal through a strided view, and ``reduce_children``
 subtracts the product with those negated gains. The bodies they replaced,
 which negate the gains and index the diagonal on every call and add the
 product with the gains, are kept here too. Negating a float is exact, so
-the powers, inverses and verdicts must agree bit for bit."""
+the powers, inverses and verdicts must agree bit for bit.
+
+``z_from_p`` returns the ratios n / d of ``compute_nd``, the one 1 + SINR
+evaluation. The formula 1 + g q / d it replaced is kept here too. The two
+round differently, so they agree to a few ulps, not bit for bit."""
 
 import dataclasses
 
@@ -27,6 +31,7 @@ from nomaopt.reduction import (
     _solve_batch,
     power_systems,
     reduce_scenario,
+    z_from_p,
 )
 
 from conftest import make_scenario
@@ -215,3 +220,29 @@ def test_reduce_children_matches_the_positive_gain_reference():
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         kept += got.shape[0]
     assert kept > 0
+
+
+# -- the replaced 1 + SINR formula -------------------------------------------------
+
+
+def ref_z_from_p(r: ReducedProblem, q: np.ndarray) -> np.ndarray:
+    K, L = r.gain_active.shape
+    den = np.einsum("klj,jl->kl", r.gain_cross, q.reshape(K, L)).reshape(-1) + r.scenario.noise_power
+    return 1.0 + r.gain_active.reshape(-1) * q / den
+
+
+def test_z_from_p_agrees_with_the_replaced_formula():
+    rng = np.random.default_rng(20)
+    moved = 0
+    for _ in range(300):
+        K, L = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        g = 10.0 ** rng.uniform(-16.0, -2.0, (K, K, L))
+        caps = rng.choice([0.0, 1e-6, 1e-4, 1e-2], (K, L))
+        noise = float(rng.choice([1e-15, 6.3e-15, 1e-13]))
+        r = reduce_scenario(make_scenario(g, noise=noise, subcarrier_cap=caps))
+        q = caps.reshape(-1) * rng.uniform(0.0, 1.0, r.dim) * (rng.random(r.dim) > 0.2)
+        got, ref = z_from_p(r, q), ref_z_from_p(r, q)
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+        moved += int(np.count_nonzero(got != ref))
+    # the bound is met by entries that do move, not only by equal ones
+    assert moved > 0

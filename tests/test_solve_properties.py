@@ -4,7 +4,8 @@ Drops span gains from 1e-16 to 1e-2 against thermal-scale noise, zero
 caps, exact ties and identical carriers, at K 1-4 and L 1-2. Every solve
 must return without raising, with a feasible allocation, an upper bound
 at or above both baselines, a certified gap within epsilon, and the same
-result bit for bit on a rerun.
+result bit for bit on a rerun. Every result's ``z`` is the shifted SINRs
+its powers achieve, bit for bit.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from nomaopt.experiments import RadioConfig, generate_scenario
 from nomaopt.model import Scenario
 from nomaopt.oracle import baseline_full_power, baseline_greedy
 from nomaopt.polyblock import solve
+from nomaopt.reduction import reduce_scenario, z_from_p
 
 BUDGET = 200
 
@@ -110,8 +112,12 @@ def test_solve_is_sound_on_adversarial_drops(drop):
     s, eps, budget = drop
     res = solve(s, eps, max_iterations=budget)
     assert res.feasibility.feasible
-    for base in (baseline_full_power(s), baseline_greedy(s)):
+    bases = (baseline_full_power(s), baseline_greedy(s))
+    for base in bases:
         assert res.upper_bound >= base.sum_rate_nats - 1e-9
+    r = reduce_scenario(s)
+    for out in (res, *bases):
+        assert out.z.tobytes() == z_from_p(r, out.allocation.p[list(r.active)]).tobytes()
     if res.certified:
         assert res.upper_bound - res.sum_rate_nats <= eps + 1e-12 * max(1.0, abs(res.upper_bound))
     assert _fields(solve(s, eps, max_iterations=budget)) == _fields(res)

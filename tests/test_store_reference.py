@@ -16,7 +16,7 @@ import pytest
 import nomaopt.polyblock as P
 from nomaopt.experiments import RadioConfig, generate_scenario
 from nomaopt.polyblock import dinkelbach_project, generate_children, initial_vertex, reduce_children
-from nomaopt.reduction import ReducedProblem
+from nomaopt.reduction import ReducedProblem, compute_nd
 
 from conftest import k1_scenario, make_scenario, sym2_scenario
 
@@ -90,13 +90,11 @@ class _ReferenceSearch(P._CarrierSearch):
         self.m = len(carriers)
         self.tol = tol
         self.lb = 0.0
-        self.best_c = np.ones(r.dim)
         self.best_q = np.zeros(r.dim)
         full = r.cap_carrier.reshape(-1).astype(float)
-        ratios = P.compute_nd(r, full)[2]
-        f_full = float(np.sum(np.log(ratios)))
+        f_full = float(np.sum(np.log(compute_nd(r, full)[2])))
         if f_full > self.lb:
-            self.lb, self.best_c, self.best_q = f_full, ratios, full
+            self.lb, self.best_q = f_full, full
         z0 = initial_vertex(r)
         self.store = _VertexSet(r.dim)
         self.store.add(z0, float(np.sum(np.log(z0))), full)
@@ -112,7 +110,7 @@ class _ReferenceSearch(P._CarrierSearch):
         proj = dinkelbach_project(self.r, parent, start=start)
         f_proj = float(np.sum(np.log(proj.z_proj)))
         if f_proj >= self.lb:
-            self.lb, self.best_c, self.best_q = f_proj, proj.z_proj, proj.powers
+            self.lb, self.best_q = f_proj, proj.powers
 
         t = self.lb + self.tol
         children = generate_children(parent, upper=np.maximum(proj.lam_upper * parent, 1.0))
