@@ -183,20 +183,20 @@ def generate_scenario(cfg: RadioConfig, seed=None) -> Scenario:
     )
 
 
-def scenario_with_caps(s: Scenario, subcarrier_cap_w: float, cell_cap_w: float | None = None) -> Scenario:
-    """Same gains and layout, different power budgets."""
-    if cell_cap_w is None:
-        cell_cap_w = s.num_subcarriers * subcarrier_cap_w
+def scenario_with_caps(s: Scenario, subcarrier_cap_w: float) -> Scenario:
+    """Same gains and layout, every carrier capped at subcarrier_cap_w and
+    every cell at the sum of its carrier caps."""
     return replace(
         s,
         subcarrier_cap=np.full((s.num_cells, s.num_subcarriers), subcarrier_cap_w),
-        cell_cap=np.full(s.num_cells, cell_cap_w),
+        cell_cap=np.full(s.num_cells, s.num_subcarriers * subcarrier_cap_w),
         meta={**s.meta, "cap_override_w": subcarrier_cap_w},
     )
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
     if n <= 0:
         raise ValueError("need at least one observation")
     phat = successes / n
@@ -382,19 +382,22 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _sweep_trial(cfg: RadioConfig, caps, epsilons, trial: int) -> list[SweepRecord]:
+def _trial(cfg: RadioConfig, caps, epsilons, trial: int) -> list[tuple]:
+    """(cap, epsilon, algorithm, trial, nats, ms, iterations) of every result on one trial's drop.
+
+    Full power and greedy run once per cap; at each epsilon the solve is
+    listed first, then both baselines.
+    """
     base = generate_scenario(cfg, seed=[cfg.seed, trial])
-    records = []
+    results = []
     for cap in caps:
-        sc = scenario_with_caps(base, cap)
-        full = baseline_full_power(sc)
-        greedy = baseline_greedy(sc)
+        s = scenario_with_caps(base, cap)
+        full, greedy = baseline_full_power(s), baseline_greedy(s)
         for eps in epsilons:
-            pb = solve(sc, eps)
-            records.append(SweepRecord(cap, eps, "polyblock", trial, pb.sum_rate_nats))
-            records.append(SweepRecord(cap, eps, "full-power", trial, full.sum_rate_nats))
-            records.append(SweepRecord(cap, eps, "greedy", trial, greedy.sum_rate_nats))
-    return records
+            for res in (solve(s, eps), full, greedy):
+                results.append((cap, eps, res.algorithm, trial, res.sum_rate_nats, res.wall_time_s * 1e3,
+                                res.iterations))
+    return results
 
 
 def _usable_cpus() -> int:
@@ -402,6 +405,31 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _run_trials(cfg: RadioConfig, caps, epsilons, trials: int, threads: int) -> list[list[tuple]]:
+    """Each trial's ``_trial`` results, in trial order, run as ``power_sweep`` describes.
+
+    Every trial draws from its own (seed, trial) stream, so every field
+    but the times is bit-for-bit that of a serial run. The trials list
+    their results in one order, so ``zip`` groups each row's results.
+    """
+    caps = [_real(c, "cap") for c in caps]
+    epsilons = [_real(e, "epsilon") for e in epsilons]
+    trials, threads = _integer(trials, "trials"), _integer(threads, "threads")
+    if not caps or not epsilons or trials < 1 or threads < 1:
+        raise ValueError("need caps, epsilons, at least one trial and at least one worker")
+    if len(set(caps)) < len(caps) or len(set(epsilons)) < len(epsilons):
+        raise ValueError("caps and epsilons must not repeat a value: each names its own rows")
+    run_trial = functools.partial(_trial, cfg, caps, epsilons)
+    workers = min(threads, trials, _usable_cpus())
+    if workers > 1:
+        # imported here, so that `import nomaopt` does not pay for them
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_trial, range(trials)))
+    return [run_trial(t) for t in range(trials)]
 
 
 def power_sweep(cfg: RadioConfig, caps, epsilons, trials: int, threads: int = 1) -> SweepResult:
@@ -412,37 +440,16 @@ def power_sweep(cfg: RadioConfig, caps, epsilons, trials: int, threads: int = 1)
 
     ``threads`` caps the number of worker processes that run trials in
     parallel; the pool gets at most min(threads, trials, usable CPUs) of
-    them, and with one the trials run in this process. Every trial draws
-    from its own (seed, trial) stream and results are collected in trial
-    order, so records and rows are bit-for-bit those of a serial run.
+    them, and with one the trials run in this process. Records hold no
+    times, so records and rows are bit-for-bit those of a serial run.
     """
-    caps = [_real(c, "cap") for c in caps]
-    epsilons = [_real(e, "epsilon") for e in epsilons]
-    trials, threads = _integer(trials, "trials"), _integer(threads, "threads")
-    if not caps or not epsilons or trials < 1 or threads < 1:
-        raise ValueError("need caps, epsilons, at least one trial and at least one worker")
-    if len(set(caps)) < len(caps) or len(set(epsilons)) < len(epsilons):
-        raise ValueError("caps and epsilons must not repeat a value: each names its own rows")
-    run_trial = functools.partial(_sweep_trial, cfg, caps, epsilons)
-    workers = min(threads, trials, _usable_cpus())
-    if workers > 1:
-        # imported here, so that `import nomaopt` does not pay for them
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run_trial, range(trials)))
-    else:
-        per_trial = [run_trial(t) for t in range(trials)]
-    records = tuple(rec for batch in per_trial for rec in batch)
-
+    per_trial = _run_trials(cfg, caps, epsilons, trials, threads)
+    batches = [[SweepRecord(*res[:5]) for res in batch] for batch in per_trial]
     rows = []
-    for cap in caps:
-        for eps in epsilons:
-            for algo in ("polyblock", "full-power", "greedy"):
-                vals = [r.sum_rate_nats for r in records if r.cap_w == cap and r.epsilon == eps and r.algo == algo]
-                mean = float(np.mean(vals))
-                rows.append(SweepRow(cap, eps, algo, mean, mean / LN2, len(vals)))
-    return SweepResult(records=records, rows=tuple(rows))
+    for group in zip(*batches):
+        mean = float(np.mean([r.sum_rate_nats for r in group]))
+        rows.append(SweepRow(*group[0][:3], mean, mean / LN2, len(group)))
+    return SweepResult(records=tuple(r for batch in batches for r in batch), rows=tuple(rows))
 
 
 class BenchRecord(NamedTuple):
@@ -467,41 +474,23 @@ class BenchResult:
     rows: tuple[BenchRow, ...]
 
 
-def _bench_trial(cfg: RadioConfig, epsilons, trial: int) -> list[BenchRecord]:
-    s = generate_scenario(cfg, seed=[cfg.seed, trial])
-    records = []
-    full = baseline_full_power(s)
-    greedy = baseline_greedy(s)
-    for eps in epsilons:
-        pb = solve(s, eps)
-        records.append(BenchRecord(eps, "polyblock", trial, pb.wall_time_s * 1e3, pb.iterations))
-        records.append(BenchRecord(eps, "full-power", trial, full.wall_time_s * 1e3, full.iterations))
-        records.append(BenchRecord(eps, "greedy", trial, greedy.wall_time_s * 1e3, greedy.iterations))
-    return records
-
-
 def runtime_bench(cfg: RadioConfig, epsilons, trials: int) -> BenchResult:
     """Wall time and iteration statistics per (epsilon, algorithm).
 
     Trials run one after another in this process: this reports per-solve
     wall times, which parallel workers sharing the cores would inflate.
+    Drops are capped by ``scenario_with_caps`` at the config's carrier cap.
     """
-    epsilons = [_real(e, "epsilon") for e in epsilons]
-    trials = _integer(trials, "trials")
-    if not epsilons or trials < 1:
-        raise ValueError("need epsilons and at least one trial")
-    if len(set(epsilons)) < len(epsilons):
-        raise ValueError("epsilons must not repeat a value: each names its own rows")
-    records = tuple(rec for t in range(trials) for rec in _bench_trial(cfg, epsilons, t))
-
+    batches = [
+        [BenchRecord(eps, algo, trial, ms, iters) for _, eps, algo, trial, _, ms, iters in batch]
+        for batch in _run_trials(cfg, [cfg.subcarrier_cap_w], epsilons, trials, 1)
+    ]
     rows = []
-    for eps in epsilons:
-        for algo in ("polyblock", "full-power", "greedy"):
-            ms = [r.ms for r in records if r.epsilon == eps and r.algo == algo]
-            iters = [r.iterations for r in records if r.epsilon == eps and r.algo == algo]
-            std = float(np.std(ms, ddof=1)) if len(ms) > 1 else 0.0
-            rows.append(BenchRow(eps, algo, float(np.mean(ms)), std, float(np.mean(iters))))
-    return BenchResult(records=records, rows=tuple(rows))
+    for group in zip(*batches):
+        ms, iters = [r.ms for r in group], [r.iterations for r in group]
+        std = float(np.std(ms, ddof=1)) if len(ms) > 1 else 0.0
+        rows.append(BenchRow(*group[0][:2], float(np.mean(ms)), std, float(np.mean(iters))))
+    return BenchResult(records=tuple(r for batch in batches for r in batch), rows=tuple(rows))
 
 
 def write_cdf_csv(result: CdfResult, path):

@@ -48,7 +48,9 @@ class AllocationError(ValueError):
 
 def _integer(value, name: str) -> int:
     """value as an int; bools, strings and non-integral numbers raise ScenarioError."""
-    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
     if integral and not isinstance(value, bool):
         return int(value)
     raise ScenarioError(f"{name} must be an integer, got {value!r}")
@@ -307,12 +309,14 @@ class Allocation:
     p: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=np.int64, copy=True)
-        p = np.array(self.p, dtype=float, copy=True)
+        a, p = np.asarray(self.a), np.asarray(self.p)
+        if a.dtype.kind not in "iuf" or p.dtype.kind not in "iuf":
+            raise AllocationError("a and p must hold numbers only")
         if a.ndim != 1 or p.shape != a.shape:
             raise AllocationError("a and p must be 1-D vectors of equal length")
         if not np.all((a == 0) | (a == 1)):
             raise AllocationError("assignment entries must be 0 or 1")
+        a, p = a.astype(np.int64), p.astype(float)
         if not np.all(np.isfinite(p)) or np.any(p < 0):
             raise AllocationError("powers must be finite and non-negative")
         if np.any(p[a == 0] != 0):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, _integer, _real
+from .model import Scenario, _integer
 
 # unused here: the benchmark tracer patches the model calls under these names
 from .model import build_decoding_order, check_feasible, sic_always_feasible, sum_rate  # noqa: F401
@@ -153,14 +153,21 @@ def baseline_full_power(s: Scenario) -> SolveResult:
     return SolveResult.from_powers(r, q, t0, algorithm="full-power", iterations=0, **_HEURISTIC)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+# greedy's sweep budget, the gain in nats below which a sweep ends it, and
+# the golden-section steps of each coordinate's line search
+_SWEEPS = 50
+_STALL_TOL = 1e-6
+_GOLDEN_STEPS = 60
+
+
+def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximum of fun on [lo, hi] (unimodality assumed)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -172,22 +179,16 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 60) -> tuple[float, floa
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def baseline_greedy(s: Scenario, sweeps: int = 50, stall_tol: float = 1e-6) -> SolveResult:
+def baseline_greedy(s: Scenario) -> SolveResult:
     """Declared stand-in baseline: cyclic coordinate ascent from full power.
 
     Each coordinate is line-searched by golden section against the
     fixed candidates {0, cap, current}; only improvements are accepted, so
     the objective is non-decreasing by construction. The ascent stops
-    after ``sweeps`` sweeps or the first that gains less than
-    ``stall_tol`` nats. A trial point is scored by the expression of
+    after 50 sweeps (``_SWEEPS``) or the first that gains less than 1e-6
+    nats (``_STALL_TOL``). A trial point is scored by the expression of
     ``sum_rate_from_powers`` on one preallocated vector, checked once.
     """
-    sweeps = _integer(sweeps, "sweeps")
-    if sweeps < 0:
-        raise ValueError("sweeps must not be negative")
-    stall_tol = _real(stall_tol, "stall_tol")
-    if stall_tol < 0:
-        raise ValueError("stall_tol must not be negative")
     t0 = time.perf_counter()
     r = reduce_scenario(s)
     K, L = r.gain_active.shape
@@ -206,7 +207,7 @@ def baseline_greedy(s: Scenario, sweeps: int = 50, stall_tol: float = 1e-6) -> S
         return float(np.log1p(gain * trial / den).sum())
 
     used = 0
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         used += 1
         gained = 0.0
         for j in range(r.dim):
@@ -219,6 +220,6 @@ def baseline_greedy(s: Scenario, sweeps: int = 50, stall_tol: float = 1e-6) -> S
                     gained += cand_v - f
                     f = cand_v
             trial[j] = q[j]
-        if gained < stall_tol:
+        if gained < _STALL_TOL:
             break
     return SolveResult.from_powers(r, q, t0, algorithm="greedy", iterations=used, **_HEURISTIC)

@@ -6,8 +6,8 @@ the binary assignment variables and the intra-cell interference terms.
 What remains is a continuous problem over one power q per (cell,
 sub-carrier) whose objective depends on the powers only through the
 per-pair values z = 1 + SINR. This module builds that reduced problem and
-provides the z <-> q conversions, the objective and the feasible-set
-membership test the solver is written against.
+provides the z <-> q conversions and power systems the solver uses, and
+the objective and membership test, which only checks of its results read.
 
 Reduced vectors (powers q, shifted SINRs z) are flat arrays of length
 num_cells * num_subcarriers indexed by k * L + l, the only form of z.

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -85,9 +86,13 @@ def test_radio_config_rejects_mistyped_fields(field, value):
 
 
 def test_radio_config_takes_integral_counts_as_int():
-    cfg = RadioConfig(num_cells=np.int64(3), users_per_cell=2.0, seed=np.uint8(4))
-    assert (cfg.num_cells, cfg.users_per_cell, cfg.seed) == (3, 2, 4)
-    assert all(type(v) is int for v in (cfg.num_cells, cfg.users_per_cell, cfg.seed))
+    # an integral float32 once raised "must be an integer"
+    cfg = RadioConfig(num_cells=np.int64(3), users_per_cell=2.0, seed=np.uint8(4), num_subcarriers=np.float32(2))
+    assert (cfg.num_cells, cfg.users_per_cell, cfg.seed, cfg.num_subcarriers) == (3, 2, 4, 2)
+    assert all(type(v) is int for v in (cfg.num_cells, cfg.users_per_cell, cfg.seed, cfg.num_subcarriers))
+    assert RadioConfig(num_cells=np.float32(2)).num_cells == 2
+    with pytest.raises(ScenarioError, match="num_cells must be an integer"):
+        RadioConfig(num_cells=np.float32(2.5))
 
 
 def test_radio_config_json_round_trip():
@@ -182,8 +187,9 @@ def test_scenario_with_caps_keeps_layout():
     assert np.all(t.cell_cap == 1e-5)
     assert t.meta["cap_override_w"] == 1e-5
     assert t.meta["bs_xy"] == s.meta["bs_xy"]
-    u = scenario_with_caps(s, 1e-5, cell_cap_w=2e-5)
-    assert np.all(u.cell_cap == 2e-5)
+    # each cell is capped at the sum of its carrier caps
+    u = scenario_with_caps(generate_scenario(dataclasses.replace(SMALL, num_subcarriers=3)), 1e-5)
+    assert np.all(u.cell_cap == 3 * 1e-5)
 
 
 # -- Wilson interval -----------------------------------------------------------
@@ -433,6 +439,7 @@ def test_sweep_counts_must_be_integers():
         with pytest.raises(ScenarioError, match="threads must be an integer"):
             power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=1, threads=threads)
     assert power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=2.0, threads=1.0).rows[0].trials == 2
+    assert power_sweep(SMALL, caps=[1e-7], epsilons=[0.5], trials=np.float32(2)).rows[0].trials == 2
 
 
 def test_sweep_caps_and_epsilons_must_be_numbers():

@@ -6,11 +6,13 @@ expression at the same points, so the powers, the sum rate and the sweep
 count must agree bit for bit."""
 
 import time
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nomaopt import oracle
 from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
 from nomaopt.oracle import _HEURISTIC, _golden_max, baseline_greedy
 from nomaopt.polyblock import SolveResult
@@ -75,7 +77,8 @@ def _scenarios(draw):
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(_scenarios(), st.integers(0, 3), st.sampled_from([0.0, 1e-6, 1e-3]))
 def test_greedy_matches_the_copying_reference(s, sweeps, stall_tol):
-    got = baseline_greedy(s, sweeps=sweeps, stall_tol=stall_tol)
+    with patch.object(oracle, "_SWEEPS", sweeps), patch.object(oracle, "_STALL_TOL", stall_tol):
+        got = baseline_greedy(s)
     ref = ref_baseline_greedy(s, sweeps=sweeps, stall_tol=stall_tol)
     assert got.allocation.p.tobytes() == ref.allocation.p.tobytes()
     assert got.z.tobytes() == ref.z.tobytes()

@@ -261,6 +261,13 @@ def test_allocation_validation():
         Allocation(a=[1, 1], p=[1.0])
     with pytest.raises(AllocationError):
         Allocation(a=[1], p=[float("inf")])
+    # these were once stored as a = [0, 1, 1] and accepted as strings
+    with pytest.raises(AllocationError, match="0 or 1"):
+        Allocation(a=[0.5, 1.7, True], p=[0, 1, 2])
+    with pytest.raises(AllocationError, match="numbers only"):
+        Allocation(a=["1", 0], p=["1e-3", 0])
+    alloc = Allocation(a=[1.0, 0.0], p=[2, 0])
+    assert (alloc.a.dtype, alloc.p.dtype) == (np.int64, np.float64)
 
 
 # -- decoding order --------------------------------------------------------

@@ -8,12 +8,13 @@ inverting (2, 2) means solving
 which has the unique solution q = (1, 1).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
+from nomaopt.experiments import RadioConfig, generate_scenario
 from nomaopt.model import Allocation, ScenarioError, build_decoding_order, check_feasible, sum_rate
 from nomaopt.reduction import (
     InconsistentSinrError,
@@ -376,7 +377,7 @@ def test_full_carrier_power_never_breaks_a_cell_cap():
             assert report.feasible, (L, cap, report.violations)
             tight = s.subcarrier_cap.sum(axis=1).max() * (1.0 - 1e-11)
             with pytest.raises(ScenarioError, match="cell cap"):
-                scenario_with_caps(s, cap, cell_cap_w=tight)
+                dataclasses.replace(s, cell_cap=np.full(s.num_cells, tight))
     assert sum_above > 0
 
 

@@ -5,20 +5,28 @@ caps, exact ties and identical carriers, at K 1-4 and L 1-2. Every solve
 must return without raising, with a feasible allocation, an upper bound
 at or above both baselines, a certified gap within epsilon, and the same
 result bit for bit on a rerun. Every result's ``z`` is the shifted SINRs
-its powers achieve, bit for bit.
+its powers achieve, bit for bit. On drops with at most 4 powers, the
+solve's interval [rate, bound] meets the grid oracle's [value, value +
+error_bound]: both hold the optimum, certified or not. Non-unit weights
+raise ``UnsupportedWeightsError`` from every solver and baseline.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nomaopt.experiments import RadioConfig, generate_scenario
 from nomaopt.model import Scenario
-from nomaopt.oracle import baseline_full_power, baseline_greedy
+from nomaopt.oracle import baseline_full_power, baseline_greedy, grid_optimum
 from nomaopt.polyblock import solve
-from nomaopt.reduction import reduce_scenario, z_from_p
+from nomaopt.reduction import UnsupportedWeightsError, reduce_scenario, z_from_p
 
 BUDGET = 200
+# grid points per axis by dimension: at most 10^4 points in all
+GRID = {1: 10_000, 2: 100, 3: 21, 4: 10}
 
 _gain = st.one_of(
     st.sampled_from([1e-16, 1e-12, 1e-8, 1e-4, 1e-2]),
@@ -120,4 +128,22 @@ def test_solve_is_sound_on_adversarial_drops(drop):
         assert out.z.tobytes() == z_from_p(r, out.allocation.p[list(r.active)]).tobytes()
     if res.certified:
         assert res.upper_bound - res.sum_rate_nats <= eps + 1e-12 * max(1.0, abs(res.upper_bound))
+    if r.dim <= 4:
+        g = grid_optimum(s, GRID[r.dim])
+        tol = 1e-9 * max(1.0, g.value)
+        assert g.value <= res.upper_bound + tol
+        assert res.sum_rate_nats <= g.value + g.error_bound + tol
     assert _fields(solve(s, eps, max_iterations=budget)) == _fields(res)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_drops(), st.data())
+def test_non_unit_weights_raise_from_every_solver(drop, data):
+    s = drop[0]
+    U = sum(s.users_per_cell)
+    weights = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=U, max_size=U)
+    s = dataclasses.replace(s, weights=data.draw(weights.filter(lambda w: w != [1.0] * U)))
+    for call in (lambda: solve(s, 0.01), lambda: grid_optimum(s, 2), lambda: baseline_full_power(s),
+                 lambda: baseline_greedy(s)):
+        with pytest.raises(UnsupportedWeightsError):
+            call()
