@@ -215,8 +215,10 @@ class CdfResult:
     """Pooled decodability statistics over many independent drops.
 
     values holds the sorted pairwise gain-product statistic pooled over
-    every (cell, sub-carrier, interfering cell, gain-ordered user pair);
-    cdf the empirical distribution at those points. p_nonneg estimates the
+    every (cell, sub-carrier, interfering cell, gain-ordered user pair).
+    The empirical distribution at those points, ``cdf``, is (rank + 1) /
+    num_values; it is derived from the count on each access and never
+    stored, so a result holds 8 B per value. p_nonneg estimates the
     probability that this statistic is non-negative (decoding order valid
     for every power choice whatsoever), with a 95% Wilson interval.
 
@@ -229,7 +231,6 @@ class CdfResult:
     """
 
     values: np.ndarray
-    cdf: np.ndarray
     p_nonneg: float
     ci_low: float
     ci_high: float
@@ -240,6 +241,13 @@ class CdfResult:
     num_scenarios: int
     num_values: int
     num_margins: int
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """A new array of (rank + 1) / num_values, one entry per value."""
+        cdf = np.arange(1.0, self.num_values + 1)
+        cdf /= self.num_values
+        return cdf
 
     def summary_dict(self) -> dict:
         return {
@@ -274,11 +282,13 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
     and margins are then computed one block of ``_CDF_BLOCK`` drops at a
     time: each block's statistics go into one preallocated array, sorted
     in place at the end, and its margins are only counted. So memory is
-    the positions, the ``values`` and ``cdf`` arrays and one block. The
-    result is bit for bit that of one pass over all drops: each value
-    comes from the same float operations on the same draws (exponential
-    draws taken block by block continue one stream), the sorted array
-    holds the same multiset, and the counts are sums. Without fading
+    the positions, the ``values`` array and one block; ``cdf`` is derived
+    from the count on access. The result is bit for bit that of one pass
+    over all drops: each value comes from the same float operations on
+    the same draws (exponential draws taken block by block continue one
+    stream), the sorted array holds the same multiset, and the counts are
+    sums. Every base station sits at y = 0, so a user's y offset is its y
+    coordinate, squared once per block for all stations. Without fading
     every carrier sees the same gains, so one carrier's values are sorted
     and each is repeated once per carrier, and its counts are scaled by
     the carrier count.
@@ -307,10 +317,10 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
     m_nonneg = 0
     for start in range(0, samples, _CDF_BLOCK):
         xy = users[:, start : start + _CDF_BLOCK].transpose(1, 0, 2, 3)
-        # d[s, j, k, u]: BS j to user u of cell k
+        # d[s, j, k, u]: BS j to user u of cell k; every BS sits at y = 0
+        y = xy[..., 1]
         dx = xy[:, None, :, :, 0] - bs[None, :, None, None, 0]
-        dy = xy[:, None, :, :, 1] - bs[None, :, None, None, 1]
-        base = _gain_from_distance(cfg, np.sqrt(dx * dx + dy * dy))
+        base = _gain_from_distance(cfg, np.sqrt(dx * dx + (y * y)[:, None]))
         if cfg.fading:
             g = base[..., None] * rng.exponential(1.0, size=base.shape + (L,))
         else:
@@ -318,19 +328,19 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
         for k in range(K):
             ou, ov = g[:, k, k, u, :], g[:, k, k, v, :]
             u_weak = ou <= ov  # ties keep the lower index as weak
-            weak_own = np.where(u_weak, ou, ov)
-            strong_own = np.where(u_weak, ov, ou)
-            worst = (strong_own - weak_own) * noise
+            worst = np.abs(ov - ou) * noise
             for j in range(K):
                 if j == k:
                     continue
                 cu, cv = g[:, j, k, u, :], g[:, j, k, v, :]
-                weak_cross = np.where(u_weak, cu, cv)
-                strong_cross = np.where(u_weak, cv, cu)
-                stat = strong_own * weak_cross - weak_own * strong_cross
+                # strong * weak-cross - weak * strong-cross is d with u weak and
+                # its negation with u strong, taken as 0.0 - d: -d would turn
+                # a +0.0 difference into -0.0
+                d = ov * cu - ou * cv
+                stat = np.where(u_weak, d, 0.0 - d)
                 values[filled : filled + stat.size] = stat.reshape(-1)
                 filled += stat.size
-                worst = worst + np.minimum(stat, 0.0) * cap
+                worst += np.minimum(stat, 0.0) * cap
             m_nonneg += int(np.count_nonzero(worst >= 0.0)) * reps
     del users
     values.sort()
@@ -339,13 +349,10 @@ def cdf_experiment(cfg: RadioConfig, samples: int) -> CdfResult:
         values = np.repeat(values, reps)
     m = values.shape[0]
     mm = samples * K * u.size * L
-    cdf = np.arange(1.0, m + 1)
-    cdf /= m
     lo, hi = wilson_interval(nonneg, m)
     mlo, mhi = wilson_interval(m_nonneg, mm)
     return CdfResult(
         values=values,
-        cdf=cdf,
         p_nonneg=nonneg / m,
         ci_low=lo,
         ci_high=hi,

@@ -561,33 +561,40 @@ def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
     active_count = _carrier_sums(s, alloc.a)
     cell_power = carrier_power.sum(axis=1)
 
+    carrier_excess = carrier_power - s.subcarrier_cap
+    over_carrier = carrier_excess > 1e-12 * s.subcarrier_cap
+    over_limit = active_count > s.sic_limit
+    cell_excess = cell_power - s.cell_cap
+    over_cell = cell_excess > 1e-12 * s.cell_cap
+
     violations: list[Violation] = []
-    for k in range(K):
-        for l in range(L):
-            cap = s.subcarrier_cap[k, l]
-            excess = carrier_power[k, l] - cap
-            if excess > 1e-12 * cap:
+    # whole-array screens; only an allocation that breaks one walks the
+    # (cell, carrier) grid to list its violations in order
+    if np.count_nonzero(over_carrier) or np.count_nonzero(over_limit) or np.count_nonzero(over_cell):
+        for k in range(K):
+            for l in range(L):
+                if over_carrier[k, l]:
+                    violations.append(
+                        Violation(
+                            "subcarrier_power", k, l, float(carrier_excess[k, l]),
+                            f"carrier power {carrier_power[k, l]:.6g} W "
+                            f"exceeds cap {s.subcarrier_cap[k, l]:.6g} W",
+                        )
+                    )
+                if over_limit[k, l]:
+                    violations.append(
+                        Violation(
+                            "multiplex_limit", k, l, float(active_count[k, l] - s.sic_limit),
+                            f"{active_count[k, l]} active users exceed the limit of {s.sic_limit}",
+                        )
+                    )
+            if over_cell[k]:
                 violations.append(
                     Violation(
-                        "subcarrier_power", k, l, float(excess),
-                        f"carrier power {carrier_power[k, l]:.6g} W exceeds cap {cap:.6g} W",
+                        "cell_power", k, None, float(cell_excess[k]),
+                        f"cell power {cell_power[k]:.6g} W exceeds cap {s.cell_cap[k]:.6g} W",
                     )
                 )
-            if active_count[k, l] > s.sic_limit:
-                violations.append(
-                    Violation(
-                        "multiplex_limit", k, l, float(active_count[k, l] - s.sic_limit),
-                        f"{active_count[k, l]} active users exceed the limit of {s.sic_limit}",
-                    )
-                )
-        excess = cell_power[k] - s.cell_cap[k]
-        if excess > 1e-12 * s.cell_cap[k]:
-            violations.append(
-                Violation(
-                    "cell_power", k, None, float(excess),
-                    f"cell power {cell_power[k]:.6g} W exceeds cap {s.cell_cap[k]:.6g} W",
-                )
-            )
 
     multiplexed = np.argwhere(active_count > 1).tolist()
     order = build_decoding_order(s) if multiplexed else None

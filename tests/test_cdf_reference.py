@@ -3,9 +3,11 @@ sub-carrier) arrays one block of drops at a time and, without fading,
 sorts one carrier's values once. The per-pair loop it replaced, which
 held every drop at once, took distances with np.linalg.norm and tiled the
 pooled values over the carriers before sorting, is kept here as the
-reference. Every element is computed by the same float operations, so
-every field must agree bit for bit, also when the drops span several
-blocks."""
+reference; it also forms the statistic from the weak and strong users'
+gains with four selections and two products, and each distance from both
+coordinate offsets. Every element is computed by the same float
+operations, so every field must agree bit for bit, also when the drops
+span several blocks. The cdf, derived on access, is compared too."""
 
 import dataclasses
 
@@ -17,7 +19,6 @@ from nomaopt.experiments import (
     CdfResult,
     RadioConfig,
     _bs_positions,
-    _gain_from_distance,
     _sample_hexagon,
     cdf_experiment,
     wilson_interval,
@@ -35,7 +36,7 @@ def _reference_cdf(cfg, samples):
         _sample_hexagon(rng, cfg.cell_radius_m, bs[k], cell)
         users[:, k] = cell.reshape(samples, M, 2)
     d = np.linalg.norm(users[:, None, :, :, :] - bs[None, :, None, None, :], axis=4)
-    base = _gain_from_distance(cfg, d)
+    base = E._gain_from_distance(cfg, d)
     if cfg.fading:
         g = base[..., None] * rng.exponential(1.0, size=base.shape + (L,))
     else:
@@ -72,7 +73,6 @@ def _reference_cdf(cfg, samples):
         margins = np.tile(margins, L)
     values = np.sort(pooled)
     m = values.shape[0]
-    cdf = np.arange(1, m + 1) / m
     nonneg = int(np.count_nonzero(values >= 0.0))
     lo, hi = wilson_interval(nonneg, m)
     mm = margins.shape[0]
@@ -80,7 +80,6 @@ def _reference_cdf(cfg, samples):
     mlo, mhi = wilson_interval(m_nonneg, mm)
     return CdfResult(
         values=values,
-        cdf=cdf,
         p_nonneg=nonneg / m,
         ci_low=lo,
         ci_high=hi,
@@ -95,11 +94,15 @@ def _reference_cdf(cfg, samples):
 
 
 def _as_bytes(res):
-    """Every field, arrays as dtype, shape and raw bytes."""
+    """Every field and the derived cdf, arrays as dtype, shape and raw bytes.
+    The cdf is also checked against the formula of the stored array it
+    replaced."""
+    m = res.num_values
+    assert res.cdf.tobytes() == (np.arange(1, m + 1) / m).tobytes()
     out = {}
-    for f in dataclasses.fields(res):
-        x = getattr(res, f.name)
-        out[f.name] = (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+    for name in [f.name for f in dataclasses.fields(res)] + ["cdf"]:
+        x = getattr(res, name)
+        out[name] = (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
     return out
 
 
@@ -122,3 +125,18 @@ def test_cdf_matches_reference_across_blocks(monkeypatch, samples, L, fading):
     cfg = RadioConfig(num_cells=3, users_per_cell=3, num_subcarriers=L, fading=fading,
                       seed=1000 + samples)
     assert _as_bytes(cdf_experiment(cfg, samples)) == _as_bytes(_reference_cdf(cfg, samples))
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_cdf_matches_reference_on_tied_gain_products(monkeypatch, L):
+    # path gains rounded to powers of two make products exact, so many
+    # pairs have a zero statistic; where u is the strong user, -d would
+    # store -0.0 where the reference's subtraction gives +0.0 (fading
+    # factors would break the ties)
+    path_gain = E._gain_from_distance
+    monkeypatch.setattr(E, "_gain_from_distance",
+                        lambda cfg, d: np.exp2(np.round(np.log2(path_gain(cfg, d)) / 4) * 4))
+    cfg = RadioConfig(num_cells=3, users_per_cell=4, num_subcarriers=L, seed=9)
+    res = cdf_experiment(cfg, 200)
+    assert np.count_nonzero(res.values == 0.0) > 100
+    assert _as_bytes(res) == _as_bytes(_reference_cdf(cfg, 200))

@@ -8,6 +8,7 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -290,3 +291,62 @@ def test_model_matches_the_per_entry_reference(instance):
                         margin = sic_pair_margin(s, k, l, weak, strong, ref.carrier_power[:, l])
                         expected = ref_pair_margin(s, k, l, weak, strong, ref.carrier_power[:, l])
                         assert _bits(margin) == _bits(expected)
+
+
+def _cap_instance():
+    """Two cells on two carriers; cell 0 has slack under its cell cap, cell
+    1's cap is the sum of its carrier caps, and carrier (1, 1) is capped at
+    0. On carrier 0, users 1 and 0 of cell 0 cannot both be decoded while
+    cell 1 transmits there at full power."""
+    gains = np.array([
+        [[1.0, 2.0], [0.5, 0.25], [3.0, 1.0], [0.1, 0.2], [0.2, 0.1]],
+        [[1.0, 0.2], [0.01, 0.1], [0.2, 0.3], [1.0, 2.0], [2.0, 0.5]],
+    ])
+    return Scenario(
+        num_cells=2,
+        num_subcarriers=2,
+        users_per_cell=(3, 2),
+        sic_limit=2,
+        gains=gains,
+        noise_power=0.5,
+        subcarrier_cap=np.array([[1.0, 1.0], [2.0, 0.0]]),
+        cell_cap=np.array([3.0, 2.0]),
+    )
+
+
+def _allocation(s, powers):
+    """Canonical allocation from {(cell, carrier, user): power}; a listed
+    user is active, also at zero power."""
+    a, p = np.zeros(s.size, dtype=int), np.zeros(s.size)
+    for (k, l, u), w in powers.items():
+        i = s.carrier_slice(k, l).start + u
+        a[i], p[i] = 1, w
+    return Allocation(a=a, p=p)
+
+
+_CLEAN = {(0, 0, 0): 0.5, (0, 1, 2): 1.0, (1, 0, 1): 2.0}
+
+
+@pytest.mark.parametrize("changes, broken", [
+    ({}, set()),
+    # within the 1e-12 relative slack, and just beyond it
+    ({(0, 0, 0): 1.0 + 1e-13}, set()),
+    ({(0, 0, 0): 1.0 + 2e-12}, {"subcarrier_power"}),
+    # cell 0 stays under its cell cap; cell 1 does not
+    ({(0, 1, 2): 1.5}, {"subcarrier_power"}),
+    ({(1, 0, 1): 2.5}, {"subcarrier_power", "cell_power"}),
+    ({(1, 1, 0): 1e-9}, {"subcarrier_power", "cell_power"}),
+    ({(0, 0, 1): 0.1, (0, 0, 2): 0.0}, {"multiplex_limit", "sic_condition"}),
+    ({(0, 0, 1): 0.5, (0, 0, 2): 0.5, (0, 1, 2): 3.0, (1, 0, 0): 0.5, (1, 1, 1): 0.5},
+     {"subcarrier_power", "cell_power", "multiplex_limit", "sic_condition"}),
+])
+def test_cap_screen_matches_the_per_entry_loop(changes, broken):
+    # check_feasible screens the caps and the limit with whole-array
+    # comparisons; its report must be that of ref_check_feasible's loop
+    s = _cap_instance()
+    alloc = _allocation(s, {**_CLEAN, **changes})
+    report, ref = check_feasible(s, alloc), ref_check_feasible(s, alloc)
+    assert {v.constraint for v in report.violations} == broken
+    assert report.carrier_power.tobytes() == ref.carrier_power.tobytes()
+    assert report.cell_power.tobytes() == ref.cell_power.tobytes()
+    assert _violation_fields(report) == _violation_fields(ref)

@@ -237,6 +237,21 @@ def test_two_cell_corner_optimum_lies_in_every_certified_interval(L, fading):
             assert baseline_greedy(s).sum_rate_nats <= best + 1e-9
 
 
+def test_greedy_can_stall_at_a_local_optimum():
+    # after two sweeps greedy silences cell 0 on carrier 0 and stops there,
+    # about 0.24 nats below the best corner; the certified solve finds it
+    s = scenario_with_caps(generate_scenario(RadioConfig(num_subcarriers=2, fading=True), seed=[2, 2]), 1e-4)
+    best = _corner_optimum(reduce_scenario(s))
+    greedy = baseline_greedy(s)
+    assert greedy.iterations == 2
+    assert greedy.sum_rate_nats <= best - 0.2
+    eps = 0.01
+    res = solve(s, eps)
+    assert res.certified
+    assert best - eps <= res.sum_rate_nats <= best + 1e-9
+    assert best <= res.upper_bound + 1e-9
+
+
 # -- the shared result builder ---------------------------------------------------
 
 
