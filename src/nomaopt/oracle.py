@@ -5,9 +5,9 @@ Cartesian power grid and reports a closed-form bound on how far the
 continuous optimum can sit above the best grid point, certified by the
 monotonicity of each rate term. It exists to sandwich the solver at desk
 scale, so it shares no code path with the solver beyond the problem
-definition itself. The grid is evaluated in C-order slabs by
-broadcasting its 1-D axes, each rate term on its own carrier's sub-grid;
-ties go to the lowest flat index.
+definition itself. Each carrier's powers are searched on a grid of their
+own, in C-order slabs by broadcasting its 1-D axes; ties go to the lowest
+flat index.
 
 The two baselines are declared stand-ins for an external reference
 heuristic whose algorithm is not public: full power on every carrier, and
@@ -77,67 +77,67 @@ def _slabs(shape: tuple[int, ...]):
 
 
 def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
-    """Exhaustive search over a per-coordinate power grid.
+    """Exhaustive search over a per-coordinate power grid, one carrier at a time.
 
-    Only meant for desk-scale instances; the dimension (cells times
-    sub-carriers) is capped at 4. Every grid point is within the cell
+    Only meant for desk-scale instances; the cells are capped at 4, as a
+    carrier's grid holds n^K points. Every grid point is within the cell
     caps, since Scenario validation keeps the carrier caps within them.
 
-    The grid is walked in C-order slabs of at most _CHUNK points, and each
-    slab is evaluated by broadcasting its 1-D axes. Carriers do not
-    interact in the reduced problem, so the rate term of coordinate
-    (k, l) is computed on carrier l's sub-grid alone (its own power and
-    its same-carrier interferers) and only the sum spans the slab. Ties go
-    to the lowest flat grid index: the first maximum within a slab, and a
-    later slab only on a strictly greater value.
+    Carriers do not interact in the reduced problem, so each carrier's K
+    powers are searched on a grid of their own, and ``evaluated`` sums the
+    per-carrier grids. A carrier's grid is walked in C-order slabs of at
+    most _CHUNK points, each evaluated by broadcasting its 1-D axes. Ties
+    go to the lowest flat index: the first maximum within a slab, and a
+    later slab only on a strictly greater value; per carrier, that is the
+    lowest flat index of the joint grid too. ``value`` sums the chosen
+    point's rate terms from 0.0 in flat order, as a joint search would.
     """
     grid_points_per_dim = _integer(grid_points_per_dim, "grid_points_per_dim")
     if grid_points_per_dim < 2:
         raise ValueError("need at least 2 grid points per dimension")
     r = reduce_scenario(s)
-    if r.dim > 4:
-        raise ValueError(f"grid oracle supports at most 4 power coordinates, got {r.dim}")
     K, L = r.gain_active.shape
+    if K > 4:
+        raise ValueError(f"grid oracle supports at most 4 cells, got {K}")
     N = r.scenario.noise_power
     caps = r.cap_carrier.reshape(-1)
-    axes = []
-    for j in range(r.dim):
-        if caps[j] > 0:
-            axes.append(np.linspace(0.0, caps[j], grid_points_per_dim))
-        else:
-            axes.append(np.zeros(1))
-    shape = tuple(len(ax) for ax in axes)
-    # axis j of the grid, shaped to broadcast along grid axis j only
-    along = [tuple(-1 if a == j else 1 for a in range(r.dim)) for j in range(r.dim)]
+    axes = [np.linspace(0.0, c, grid_points_per_dim) if c > 0 else np.zeros(1) for c in caps]
+    # axis k of a carrier's grid, shaped to broadcast along grid axis k only
+    along = [tuple(-1 if a == k else 1 for a in range(K)) for k in range(K)]
 
-    best_val = -np.inf
     best_q = np.zeros(r.dim)
-    for slices in _slabs(shape):
-        q = [ax[sl].reshape(shp) for ax, sl, shp in zip(axes, slices, along)]
-        total = np.zeros(tuple(x.size for x in q))
-        for i in range(r.dim):
-            k, l = divmod(i, L)
-            inter = 0.0
-            for j in range(K):
-                if j != k:
-                    inter = inter + r.gain_cross[k, l, j] * q[j * L + l]
-            total += np.log1p(r.gain_active[k, l] * q[i] / (inter + N))
-        pos = int(np.argmax(total))
-        if total.flat[pos] > best_val:
-            best_val = float(total.flat[pos])
-            best_q = np.array([np.broadcast_to(x, total.shape).flat[pos] for x in q])
+    # the rate terms at best_q, in flat order k * L + l
+    terms = np.zeros(r.dim)
+    evaluated = 0
+    for l in range(L):
+        shape = tuple(len(ax) for ax in axes[l::L])
+        evaluated += math.prod(shape)
+        best_val = -np.inf
+        for slices in _slabs(shape):
+            q = [ax[sl].reshape(shp) for ax, sl, shp in zip(axes[l::L], slices, along)]
+            rate = []
+            for k in range(K):
+                inter = 0.0
+                for j in range(K):
+                    if j != k:
+                        inter = inter + r.gain_cross[k, l, j] * q[j]
+                rate.append(np.log1p(r.gain_active[k, l] * q[k] / (inter + N)))
+            total = sum(rate)
+            pos = int(np.argmax(total))
+            if total.flat[pos] > best_val:
+                best_val = total.flat[pos]
+                best_q[l::L] = [np.broadcast_to(x, total.shape).flat[pos] for x in q]
+                terms[l::L] = [x.flat[pos] for x in rate]
 
-    spacing = np.array(
-        [caps[j] / (len(axes[j]) - 1) if len(axes[j]) > 1 else 0.0 for j in range(r.dim)]
-    )
+    spacing = np.array([c / (len(ax) - 1) if len(ax) > 1 else 0.0 for c, ax in zip(caps, axes)])
     # the interference each rate term can gain across one grid cell, over noise
     spread = np.einsum("klj,jl->kl", r.gain_cross, spacing.reshape(K, L)) / N
     return GridOptimum(
         q=best_q,
-        value=best_val,
+        value=sum(terms.tolist()),
         error_bound=float(np.log1p(spread).sum()),
         spacing=spacing,
-        evaluated=math.prod(shape),
+        evaluated=evaluated,
     )
 
 

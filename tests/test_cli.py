@@ -379,9 +379,9 @@ def test_oracle_rejects_large_instances(tmp_path, capsys):
 
 
 def test_oracle_rejects_large_instances_before_solving(tmp_path, capsys, monkeypatch):
-    # 2 cells times 3 carriers is 6 power coordinates, past the grid's 4
-    scen = tmp_path / "wide.json"
-    s = generate_scenario(RadioConfig(num_cells=2, num_subcarriers=3, users_per_cell=2))
+    # 5 cells, past the grid's 4
+    scen = tmp_path / "big.json"
+    s = generate_scenario(RadioConfig(num_cells=5, users_per_cell=2))
     scen.write_text(s.to_json() + "\n")
 
     def no_solve(*args, **kwargs):
@@ -390,8 +390,21 @@ def test_oracle_rejects_large_instances_before_solving(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "solve", no_solve)
     code = main(["oracle", "--scenario", str(scen), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_INVALID
-    assert "at most 4" in capsys.readouterr().err
+    assert "at most 4 cells" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_oracle_searches_each_carrier_of_a_wide_drop(tmp_path, capsys):
+    # 2 cells times 3 carriers: three 30 x 30 carrier grids
+    scen = tmp_path / "wide.json"
+    s = generate_scenario(RadioConfig(num_cells=2, num_subcarriers=3, users_per_cell=2))
+    scen.write_text(s.to_json() + "\n")
+    out = tmp_path / "r.json"
+    assert main(["oracle", "--scenario", str(scen), "--grid", "30", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "pass"
+    assert doc["grid"]["evaluated"] == 3 * 30**2
+    assert "oracle verdict: pass" in capsys.readouterr().out
 
 
 # -- output redirection ----------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The grid oracle broadcasts each C-order slab of the grid from its 1-D
-axes and evaluates each rate term on its carrier's sub-grid. The chunked
-search it replaced, which gathered every grid point into a row of a
-power matrix, is kept here as the reference. The elementwise float
-operations and their order are the same in both, so value, q, evaluated
-and spacing must agree bit for bit. The error bound is checked against
-its closed form written as a scalar loop over (k, l, j)."""
+"""The grid oracle searches each carrier's powers on a grid of their own,
+broadcasting each C-order slab from its 1-D axes. The joint search over
+every carrier's axes at once, which gathered every grid point into a row
+of a power matrix, is kept here as the reference. The elementwise float
+operations are the same in both, and the oracle sums the chosen point's
+rate terms in the joint search's order, so value, q, spacing and the
+error bound must agree bit for bit; ``evaluated`` counts the per-carrier
+grids' points. The error bound is also checked against its closed form
+written as a scalar loop over (k, l, j)."""
 
 import math
 
@@ -36,8 +38,9 @@ def _batch_sum_rate(r, Q):
 
 
 def _reference_grid(s, grid_points_per_dim):
-    """Reference: the chunked arange -> unravel_index -> stack -> gather search."""
+    """Reference: the joint chunked arange -> unravel_index -> stack -> gather search."""
     r = reduce_scenario(s)
+    K, L = r.gain_active.shape
     caps = r.cap_carrier.reshape(-1)
     axes = []
     for j in range(r.dim):
@@ -63,7 +66,8 @@ def _reference_grid(s, grid_points_per_dim):
     spacing = np.array(
         [caps[j] / (len(axes[j]) - 1) if len(axes[j]) > 1 else 0.0 for j in range(r.dim)]
     )
-    return best_val, best_q, total, spacing, _reference_error_bound(r, spacing)
+    spread = np.einsum("klj,jl->kl", r.gain_cross, spacing.reshape(K, L)) / r.scenario.noise_power
+    return best_val, best_q, spacing, float(np.log1p(spread).sum()), _reference_error_bound(r, spacing)
 
 
 def _reference_error_bound(r, spacing):
@@ -83,18 +87,23 @@ def _reference_error_bound(r, spacing):
 
 def _assert_identical(s, points):
     got = grid_optimum(s, points)
-    value, q, evaluated, spacing, error_bound = _reference_grid(s, points)
+    value, q, spacing, error_bound, closed_form = _reference_grid(s, points)
     assert got.value == value
     assert got.q.dtype == q.dtype and got.q.tobytes() == q.tobytes()
-    assert got.evaluated == evaluated
     assert got.spacing.tobytes() == spacing.tobytes()
-    assert got.error_bound == pytest.approx(error_bound, rel=1e-12, abs=0.0)
+    assert got.error_bound == error_bound
+    assert got.error_bound == pytest.approx(closed_form, rel=1e-12, abs=0.0)
+    # sum over carriers of the product of their K axis lengths
+    lengths = np.where(reduce_scenario(s).cap_carrier > 0, points, 1)
+    assert type(got.evaluated) is int and got.evaluated == int(lengths.prod(axis=0).sum())
     return got
 
 
-# grid points per dimension giving more than one slab along axis 0
-_POINTS = {1: 10_000, 2: 300, 3: 45, 4: 17}
-_SHAPES = [(K, L) for K in range(1, 5) for L in range(1, 5) if K * L <= 4]
+# grid points per axis by K * L: from K * L = 2 on, the joint reference
+# walks more than one chunk, and with one carrier so does the oracle
+_POINTS = {1: 10_000, 2: 300, 3: 45, 4: 17, 6: 7}
+# (2, 3) and (3, 2) pin the per-carrier search to code that never splits
+_SHAPES = [(K, L) for K in range(1, 5) for L in range(1, 5) if K * L <= 4] + [(2, 3), (3, 2)]
 
 
 @pytest.mark.parametrize("K,L", _SHAPES)
@@ -107,13 +116,14 @@ def test_grid_matches_chunked_reference(K, L):
 
 @pytest.mark.parametrize("zero", [0, 2])
 def test_grid_matches_reference_with_a_zero_cap_axis(zero):
-    # with axis 0 of length 1, the trailing 50^3 points are cut along axis 1
+    # a zero cap leaves its axis one point long: carrier 0's grid holds 50
+    # points, carrier 1's 50^2
     rng = np.random.default_rng(77 + zero)
     g = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, 4, 2))
     caps = rng.uniform(1.0, 4.0, size=(2, 2))
     caps.reshape(-1)[zero] = 0.0
     got = _assert_identical(make_scenario(g, subcarrier_cap=caps), 50)
-    assert got.evaluated == 50**3
+    assert got.evaluated == 50 + 50**2
     assert got.q[zero] == 0.0
 
 
@@ -154,7 +164,7 @@ def test_small_slabs_match_reference(monkeypatch):
     # many slabs per grid, so ties and maxima cross slab boundaries
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     rng = np.random.default_rng(11)
-    for K, L in ((2, 1), (2, 2), (3, 1), (1, 3)):
+    for K, L in ((2, 1), (2, 2), (3, 1), (1, 3), (2, 3)):
         _assert_identical(random_scenario(rng, num_cells=K, num_subcarriers=L), 6)
     for points in (5, 12):
         got = _assert_identical(sym2_scenario(q_cap=100.0), points)

@@ -42,8 +42,11 @@ def test_grid_input_validation():
     with pytest.raises(ValueError, match="grid points"):
         grid_optimum(k1_scenario(), grid_points_per_dim=1)
     big = make_scenario(np.ones((5, 5, 1)), subcarrier_cap=1.0)
-    with pytest.raises(ValueError, match="at most 4"):
+    with pytest.raises(ValueError, match="at most 4 cells"):
         grid_optimum(big, grid_points_per_dim=3)
+    # the cap counts cells, not cells times carriers
+    wide = grid_optimum(make_scenario(np.ones((4, 4, 3)), subcarrier_cap=1.0), grid_points_per_dim=3)
+    assert wide.evaluated == 3 * 3**4
 
 
 def test_grid_point_count_must_be_an_integer():
@@ -121,14 +124,15 @@ def test_grid_reports_achievable_point():
     qm = ref.q.reshape(r.gain_active.shape)
     assert np.all(qm <= r.cap_carrier + 1e-15)
     assert np.all(qm.sum(axis=1) <= s.cell_cap * (1 + 1e-12))
-    assert ref.evaluated == 20**4
+    assert ref.evaluated == 2 * 20**2
 
 
 def test_grid_counts_every_box_point():
-    # carrier caps summing to the cell cap: all 3 x 3 points of the box count
+    # carrier caps summing to the cell cap: every point of both carriers'
+    # grids counts, 3 + 3
     s = make_scenario([[[1.0, 1.0]]], subcarrier_cap=[[1.0, 1.0]], cell_cap=[2.0])
     ref = grid_optimum(s, grid_points_per_dim=3)
-    assert ref.evaluated == 9  # full box satisfies the cell cap here
+    assert ref.evaluated == 6
     assert ref.q == pytest.approx([1.0, 1.0])
 
 

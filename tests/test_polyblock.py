@@ -338,12 +338,13 @@ def test_solve_symmetric_two_cell_hand_optimum():
 
 
 def test_solve_sandwiches_grid_oracle():
-    # the grid searches the joint power box, so the multi-carrier inputs
-    # check the per-carrier split against code that never splits
+    # the grid searches each carrier on its own, like the solver's split;
+    # test_grid_reference ties that search to the joint one, which never splits
     rng = np.random.default_rng(71)
     cases = [(random_scenario(rng, num_cells=2, num_subcarriers=1, users_per_cell=2), 200) for _ in range(5)]
-    fading = RadioConfig(num_cells=2, num_subcarriers=2, users_per_cell=2, fading=True)
-    cases.append((generate_scenario(fading, seed=[71, 0]), 40))
+    for K, L, points in ((2, 2, 40), (2, 3, 200), (3, 2, 60)):
+        fading = RadioConfig(num_cells=K, num_subcarriers=L, users_per_cell=2, fading=True)
+        cases.append((generate_scenario(fading, seed=[71, 0]), points))
     cases.append((random_scenario(rng, num_cells=1, num_subcarriers=3), 100))
     for s, points in cases:
         eps = 0.01
@@ -491,7 +492,7 @@ def test_reduce_step_intervals_intersect_the_unreduced_solver(monkeypatch):
 
 
 def test_reduce_step_sandwiches_grid_oracle():
-    points = {2: 400, 3: 60, 4: 30}
+    points = {2: 400, 3: 60, 4: 30}  # per axis, by cells
     checks = 0
     for K, L in ((2, 1), (3, 1), (4, 1), (2, 2)):
         for fading in (False, True):
@@ -499,7 +500,7 @@ def test_reduce_step_sandwiches_grid_oracle():
                 s = generate_scenario(
                     RadioConfig(num_cells=K, num_subcarriers=L, users_per_cell=2, fading=fading), seed=[7, i]
                 )
-                ref = grid_optimum(s, grid_points_per_dim=points[K * L])
+                ref = grid_optimum(s, grid_points_per_dim=points[K])
                 for eps in (0.01, 0.1):
                     res = solve(s, epsilon=eps)
                     assert res.certified

@@ -5,10 +5,11 @@ caps, exact ties and identical carriers, at K 1-4 and L 1-2. Every solve
 must return without raising, with a feasible allocation, an upper bound
 at or above both baselines, a certified gap within epsilon, and the same
 result bit for bit on a rerun. Every result's ``z`` is the shifted SINRs
-its powers achieve, bit for bit. On drops with at most 4 powers, the
-solve's interval [rate, bound] meets the grid oracle's [value, value +
-error_bound]: both hold the optimum, certified or not. Non-unit weights
-raise ``UnsupportedWeightsError`` from every solver and baseline.
+its powers achieve, bit for bit. On every drop (all have at most 4
+cells), the solve's interval [rate, bound] meets the grid oracle's
+[value, value + error_bound]: both hold the optimum, certified or not.
+Non-unit weights raise ``UnsupportedWeightsError`` from every solver and
+baseline.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ from nomaopt.polyblock import solve
 from nomaopt.reduction import UnsupportedWeightsError, reduce_scenario, z_from_p
 
 BUDGET = 200
-# grid points per axis by dimension: at most 10^4 points in all
+# grid points per axis by cells: at most 10^4 points per carrier
 GRID = {1: 10_000, 2: 100, 3: 21, 4: 10}
 
 _gain = st.one_of(
@@ -128,11 +129,10 @@ def test_solve_is_sound_on_adversarial_drops(drop):
         assert out.z.tobytes() == z_from_p(r, out.allocation.p[list(r.active)]).tobytes()
     if res.certified:
         assert res.upper_bound - res.sum_rate_nats <= eps + 1e-12 * max(1.0, abs(res.upper_bound))
-    if r.dim <= 4:
-        g = grid_optimum(s, GRID[r.dim])
-        tol = 1e-9 * max(1.0, g.value)
-        assert g.value <= res.upper_bound + tol
-        assert res.sum_rate_nats <= g.value + g.error_bound + tol
+    g = grid_optimum(s, GRID[s.num_cells])
+    tol = 1e-9 * max(1.0, g.value)
+    assert g.value <= res.upper_bound + tol
+    assert res.sum_rate_nats <= g.value + g.error_bound + tol
     assert _fields(solve(s, eps, max_iterations=budget)) == _fields(res)
 
 
