@@ -163,15 +163,16 @@ _STALLED_PAIRS = 3
 
 
 class _Point(NamedTuple):
-    """One evaluated scale. ``q`` is None past the pole (no non-negative
-    powers) and ``h`` = max_i q_i / cap_i - 1 over positive caps. At a
-    realizable point ``tangent`` is the smallest scale at which the
-    tangent of some q_i reaches its cap, and ``step`` the smallest move
-    worth trying: half the change of lambda that moves lambda by 1e-9
-    relative or a power by 1e-12 W, and at least one float."""
+    """One evaluated scale. ``z`` holds the point's entries as Python
+    floats. ``q`` is None past the pole (no non-negative powers) and
+    ``h`` = max_i q_i / cap_i - 1 over positive caps. At a realizable
+    point ``tangent`` is the smallest scale at which the tangent of some
+    q_i reaches its cap, and ``step`` the smallest move worth trying: half
+    the change of lambda that moves lambda by 1e-9 relative or a power by
+    1e-12 W, and at least one float."""
 
     lam: float
-    z: np.ndarray
+    z: list
     q: np.ndarray | None
     h: float
     ok: bool
@@ -179,30 +180,35 @@ class _Point(NamedTuple):
     step: float = 0.0
 
 
-def _evaluate(r: ReducedProblem, zc: np.ndarray, caps: np.ndarray, limit: np.ndarray, lam: float) -> _Point:
+def _evaluate(r: ReducedProblem, zc: list, caps: list, limit: list, lam: float) -> _Point:
     """Solve for the powers of max(lam * zc, 1) and test them against the
     flat carrier caps; ``limit`` is caps with inf for zero caps, the divisor of h.
 
+    The ray, the caps and the per-entry work are Python floats, which run
+    each entry's IEEE operation as numpy would without its per-call cost;
+    the power systems and the product with their inverses stay in numpy.
     With A q = gamma N / g, the derivative is dq/dlam = A^-1 diag(zc / gamma) q
     (zero where gamma = 0, the left derivative at a kink).
     """
-    z = np.maximum(lam * zc, 1.0)
-    gamma = z - 1.0
+    z = [max(lam * c, 1.0) for c in zc]
+    gamma = [v - 1.0 for v in z]
     K, L = r.gain_active.shape
-    q, inv, singular, negative = power_systems(r, gamma.reshape(K, L).T)
+    q, inv, singular, negative = power_systems(r, np.array(gamma).reshape(K, L).T)
     if singular.any() or negative.any():
         return _Point(lam, z, None, math.nan, False)
     q = q.T.reshape(-1)
-    if q.min() < 0.0:
+    qs = q.tolist()
+    if min(qs) < 0.0:
         q = np.maximum(q, 0.0)  # round-off below zero, within the verdict's room
-    h = float((q / limit).max()) - 1.0
-    if (q > caps).any():
+        qs = q.tolist()
+    h = max([a / b for a, b in zip(qs, limit)]) - 1.0
+    if any([a > c for a, c in zip(qs, caps)]):
         return _Point(lam, z, q, h, False)
-    rate = np.divide(zc * q, gamma, out=np.zeros_like(q), where=gamma > 0.0)
-    dq = np.matmul(inv, rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1)
-    reach = np.divide(caps - q, dq, out=np.full_like(q, np.inf), where=dq > 0.0)
-    step = 0.5 * min(_LAM_RTOL * lam, _Q_ATOL / max(float(dq.max()), 1e-300))
-    return _Point(lam, z, q, h, True, lam + float(reach.min()), max(step, float(np.spacing(lam))))
+    rate = np.array([c * a / g if g > 0.0 else 0.0 for c, a, g in zip(zc, qs, gamma)])
+    dq = np.matmul(inv, rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1).tolist()
+    reach = min([(c - a) / d for c, a, d in zip(caps, qs, dq) if d > 0.0], default=math.inf)
+    step = 0.5 * min(_LAM_RTOL * lam, _Q_ATOL / max(max(dq), 1e-300))
+    return _Point(lam, z, q, h, True, lam + reach, max(step, math.ulp(lam)))
 
 
 def _trial(lo: _Point, up: _Point | None, hi: float, step: str) -> float | None:
@@ -240,7 +246,7 @@ def _closed(lo: _Point, up: _Point | None) -> bool:
         up is not None
         and up.q is not None
         and up.lam - lo.lam <= _LAM_RTOL * lo.lam
-        and float(np.max(up.q - lo.q)) <= _Q_ATOL
+        and float((up.q - lo.q).max()) <= _Q_ATOL
     )
 
 
@@ -272,24 +278,26 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
     only saves evaluations.
     """
     zc = np.asarray(z, dtype=float).reshape(-1)
-    if zc.shape[0] != r.dim or not np.all(np.isfinite(zc) & (zc >= 1.0)):
+    # NaN fails both comparisons
+    if zc.shape[0] != r.dim or not (zc.min() >= 1.0 and zc.max() < math.inf):
         raise ValueError(f"need {r.dim} finite ray entries >= 1")
     caps = r.cap_carrier.reshape(-1)
-    limit = np.where(caps > 0.0, caps, np.inf)
     q = np.zeros(r.dim)
     if start is not None:
         q = np.asarray(start, dtype=float).reshape(-1)
-        if q.shape[0] != r.dim or not np.all((q >= 0.0) & (q <= caps)):
+        if q.shape[0] != r.dim or not (q.min() >= 0.0 and (q <= caps).all()):
             raise ValueError("start powers must lie within the carrier caps")
     ratios = compute_nd(r, q)[2]
-    hi = float(np.min(initial_vertex(r) / zc))
-    lo = _evaluate(r, zc, caps, limit, float(np.min(ratios / zc)))
+    zc, caps = zc.tolist(), caps.tolist()
+    limit = [c if c > 0.0 else math.inf for c in caps]
+    hi = min([v / c for v, c in zip(initial_vertex(r).tolist(), zc)])
+    lo = _evaluate(r, zc, caps, limit, min([a / c for a, c in zip(ratios.tolist(), zc)]))
     up = None
     evaluations = 1
     if not lo.ok:
         # round-off at a start on the boundary; with every gamma = 0 silence is realizable
         up, hi = lo, lo.lam
-        lo = _evaluate(r, zc, caps, limit, 1.0 / float(np.max(zc)))
+        lo = _evaluate(r, zc, caps, limit, 1.0 / max(zc))
         evaluations += 1
     lambdas = [lo.lam]
     step, width, stalls = "tangent", hi - lo.lam, 0
@@ -319,7 +327,7 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
 
     exact = lo.h == 0.0 or lo.lam >= hi
     return ProjectionResult(
-        z_proj=lo.z,
+        z_proj=np.array(lo.z),
         lam=lo.lam,
         lam_upper=lo.lam if exact else up.lam,
         powers=lo.q,

@@ -314,17 +314,31 @@ class Allocation:
             raise AllocationError("a and p must hold numbers only")
         if a.ndim != 1 or p.shape != a.shape:
             raise AllocationError("a and p must be 1-D vectors of equal length")
-        if not np.all((a == 0) | (a == 1)):
+        inactive = a == 0
+        if not (inactive | (a == 1)).all():
             raise AllocationError("assignment entries must be 0 or 1")
         a, p = a.astype(np.int64), p.astype(float)
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
+        # NaN fails both comparisons
+        if not ((p >= 0.0) & (p < math.inf)).all():
             raise AllocationError("powers must be finite and non-negative")
-        if np.any(p[a == 0] != 0):
+        if p[inactive].any():
             raise AllocationError("inactive entries must carry zero power")
         a.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "p", p)
+
+    @classmethod
+    def _unchecked(cls, a: np.ndarray, p: np.ndarray) -> Allocation:
+        """An Allocation of int64 assignments a and float powers p that the
+        package built itself to the rules above, frozen in place without
+        checking them again."""
+        a.setflags(write=False)
+        p.setflags(write=False)
+        alloc = object.__new__(cls)
+        object.__setattr__(alloc, "a", a)
+        object.__setattr__(alloc, "p", p)
+        return alloc
 
     @property
     def size(self) -> int:
@@ -380,28 +394,34 @@ def _check_length(s: Scenario, alloc: Allocation):
 
 
 def _carrier_sums(s: Scenario, x: np.ndarray) -> np.ndarray:
-    """(K, L) sums of the canonical vector x over each (cell, carrier) slice."""
-    L = s.num_subcarriers
-    blocks = zip(s._block_offsets, s._block_offsets[1:], s.users_per_cell)
+    """(K, L) sums of the canonical vector x over each (cell, carrier) slice,
+    each summed as ``np.sum`` sums that slice alone: numpy reduces every row
+    of a last-axis reduce the same way, so equal user counts take one call."""
+    K, L, users = s.num_cells, s.num_subcarriers, s.users_per_cell
+    if users.count(users[0]) == K:
+        return np.add.reduce(x.reshape(K, L, users[0]), axis=2)
+    blocks = zip(s._block_offsets, s._block_offsets[1:], users)
     return np.stack([np.add.reduce(x[a:b].reshape(L, m), axis=1) for a, b, m in blocks])
 
 
-def _sinr(s: Scenario, order: DecodingOrder, p, carrier_power, k: int, l: int, u: int):
+def _sinr(s: Scenario, order: DecodingOrder, p: list, carrier_power: list, k: int, l: int, u: int) -> float:
     """SINR of user u of cell k on carrier l at canonical powers p whose
-    (K, L) carrier sums are carrier_power."""
-    block = p[s.carrier_slice(k, l)]
-    p_i = block[u]
+    (K, L) carrier sums are carrier_power, both as Python floats: the same
+    IEEE operations in the same order as on numpy scalars, without their
+    per-operation cost."""
+    start = s._block_offsets[k] + l * s.users_per_cell[k]
+    p_i = p[start + u]
     if p_i == 0.0:
         return 0.0
-    gu = s._user_offsets[k] + u
-    g_own = s.gains[k, gu, l]
+    gains = s.gains[:, s._user_offsets[k] + u, l].tolist()
+    g_own = gains[k]
     intra = 0.0
     for v in order.order[k][l][order.position[k][l][u] + 1 :]:
-        intra += block[v]
+        intra += p[start + v]
     inter = 0.0
     for j in range(s.num_cells):
         if j != k:
-            inter += s.gains[j, gu, l] * carrier_power[j, l]
+            inter += gains[j] * carrier_power[j][l]
     return g_own * p_i / (g_own * intra + inter + s.noise_power)
 
 
@@ -414,19 +434,25 @@ def sinr(s: Scenario, order: DecodingOrder, alloc: Allocation, i: int) -> float:
     """
     _check_length(s, alloc)
     k, l, u = s.triplet(i)
-    return _sinr(s, order, alloc.p, _carrier_sums(s, alloc.p), k, l, u)
+    return _sinr(s, order, alloc.p.tolist(), _carrier_sums(s, alloc.p).tolist(), k, l, u)
 
 
 def sum_rate(s: Scenario, order: DecodingOrder, alloc: Allocation) -> float:
-    """Weighted sum rate in nats: sum_i w_i a_i log(1 + SINR_i)."""
+    """Weighted sum rate in nats: sum_i w_i a_i log(1 + SINR_i), summed in
+    canonical order and returned as a numpy float64."""
     _check_length(s, alloc)
-    carrier_power = _carrier_sums(s, alloc.p)
+    a, p = alloc.a.tolist(), alloc.p.tolist()
+    carrier_power = _carrier_sums(s, alloc.p).tolist()
+    weights = s.weights.tolist()
     total = 0.0
-    for i in np.flatnonzero(alloc.a).tolist():
-        k, l, u = s.triplet(i)
-        w = s.weights[s._user_offsets[k] + u]
-        total += w * math.log1p(_sinr(s, order, alloc.p, carrier_power, k, l, u))
-    return total
+    for k, m in enumerate(s.users_per_cell):
+        for l in range(s.num_subcarriers):
+            start = s._block_offsets[k] + l * m
+            for u in range(m):
+                if a[start + u]:
+                    w = weights[s._user_offsets[k] + u]
+                    total += w * math.log1p(_sinr(s, order, p, carrier_power, k, l, u))
+    return np.float64(total)
 
 
 def _pair_terms(k: int, weak: list, strong: list):
@@ -570,7 +596,7 @@ def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
     violations: list[Violation] = []
     # whole-array screens; only an allocation that breaks one walks the
     # (cell, carrier) grid to list its violations in order
-    if np.count_nonzero(over_carrier) or np.count_nonzero(over_limit) or np.count_nonzero(over_cell):
+    if over_carrier.any() or over_limit.any() or over_cell.any():
         for k in range(K):
             for l in range(L):
                 if over_carrier[k, l]:
@@ -596,7 +622,7 @@ def check_feasible(s: Scenario, alloc: Allocation) -> FeasibilityReport:
                     )
                 )
 
-    multiplexed = np.argwhere(active_count > 1).tolist()
+    multiplexed = np.argwhere(active_count > 1).tolist() if active_count.max() > 1 else []
     order = build_decoding_order(s) if multiplexed else None
     for k, l in multiplexed:
         start = s.carrier_slice(k, l).start

@@ -63,12 +63,13 @@ from .model import (
 from .reduction import (
     _CAP_RTOL,
     ReducedProblem,
+    _allocation,
+    _as_powers,
+    _nd,
     _over_cap,
-    allocation_from_powers,
     initial_vertex,
     power_systems,
     reduce_scenario,
-    z_from_p,
 )
 
 __all__ = [
@@ -136,15 +137,16 @@ class SolveResult:
         """Result of a run begun at perf_counter t0 and ended at the flat reduced
         powers q, scored through the full system model, with the shifted
         SINRs they achieve (``z_from_p``); the wall time is taken before the
-        SIC flag and feasibility report.
+        SIC flag and feasibility report. q is checked once, here.
         ``fields`` are the run's own: algorithm, epsilon, iterations,
         projections, upper_bound, certified, status and trace."""
         s = r.scenario
-        alloc = allocation_from_powers(r, q)
+        q = _as_powers(r, q)
+        alloc = _allocation(r, q)
         nats = sum_rate(s, build_decoding_order(s), alloc)
         return cls(
             allocation=alloc,
-            z=z_from_p(r, q),
+            z=_nd(r, q)[2],
             sum_rate_nats=nats,
             sum_rate_bits=nats / LN2,
             wall_time_s=time.perf_counter() - t0,
@@ -189,7 +191,7 @@ def generate_children(parent: np.ndarray, upper: np.ndarray) -> np.ndarray:
     upper is 1, so the boxes left out hold no realizable point.
     """
     idx = np.flatnonzero(upper > 1.0)
-    children = np.tile(parent, (idx.size, 1))
+    children = np.repeat(parent[None], idx.size, axis=0)
     children[np.arange(idx.size), idx] = np.minimum(upper[idx], parent[idx])
     return children
 
@@ -219,7 +221,7 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
     slack = 4.0 * (children.shape[1] + 2) * np.finfo(float).eps * (1.0 + abs(t) + f)
     a = np.maximum(np.exp(t - f + logs - slack), 1.0)
     q, _, singular, negative = power_systems(r, a - 1.0)
-    over = np.any(_over_cap(r, q), axis=1)
+    over = _over_cap(r, q).any(axis=1)
     scale, neg_cross = r._system
     # minus the product with the negated gains is plus the product with the gains, bit for bit
     den = scale * r.scenario.noise_power - np.maximum(q, 0.0) @ neg_cross[0].T
@@ -232,7 +234,9 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
 def _carrier_problem(r: ReducedProblem, l: int) -> ReducedProblem:
     """Reduced problem of carrier l alone: r's arrays sliced to that
     carrier (contiguous), with r's scenario and the canonical indices of
-    the carrier's served entries. With one carrier that is r itself."""
+    the carrier's served entries. With one carrier that is r itself.
+    ``power_systems``' constants are elementwise in the data, so the
+    carrier's are r's sliced to it, bit for bit, and r works them out once."""
     L = r.gain_active.shape[1]
     if L == 1:
         return r
@@ -242,7 +246,7 @@ def _carrier_problem(r: ReducedProblem, l: int) -> ReducedProblem:
         a.setflags(write=False)
         return a
 
-    return ReducedProblem(
+    rp = ReducedProblem(
         scenario=r.scenario,
         best_user=part(r.best_user),
         active=r.active[l::L],
@@ -250,6 +254,9 @@ def _carrier_problem(r: ReducedProblem, l: int) -> ReducedProblem:
         gain_cross=part(r.gain_cross),
         cap_carrier=part(r.cap_carrier),
     )
+    # a cached_property reads the instance dict first
+    rp.__dict__["_system"] = tuple(a[l : l + 1] for a in r._system)
+    return rp
 
 
 def _carrier_groups(r: ReducedProblem) -> list[list[int]]:
@@ -294,8 +301,9 @@ class _CarrierSearch:
         self.tol = tol
         self.lb = 0.0
         self.best_q = np.zeros(r.dim)
+        # Scenario validation keeps the caps finite and non-negative
         full = r.cap_carrier.reshape(-1).astype(float)
-        f_full = float(np.sum(np.log(z_from_p(r, full))))
+        f_full = float(np.log(_nd(r, full)[2]).sum())
         if f_full > self.lb:
             self.lb, self.best_q = f_full, full
         z0 = initial_vertex(r)
@@ -307,7 +315,7 @@ class _CarrierSearch:
         """Remove a vertex of the largest value, ties to the lexicographically
         largest values, moving the last column into its slot; returns its
         values and start powers."""
-        i = max(np.flatnonzero(self.f == self.f.max()).tolist(), key=lambda j: tuple(self.z[:, j]))
+        i = max(np.flatnonzero(self.f == self.f.max()).tolist(), key=lambda j: self.z[:, j].tolist())
         zc, start = self.z[:, i].copy(), self.q[:, i].copy()
         for a in (self.z, self.f, self.q):
             a[..., i] = a[..., -1]
@@ -321,7 +329,8 @@ class _CarrierSearch:
         worth at most t, recording the largest value dropped, and reset
         ``ub``. Dominance is transitive, so a row covered only by a covered
         earlier row is covered by a stored vertex or a kept row as well."""
-        earlier = np.tril((children[None] >= children[:, None]).all(axis=2), -1)
+        rows = np.arange(len(children))
+        earlier = (rows[:, None] > rows) & (children[None] >= children[:, None]).all(axis=2)
         # reduced over the leading coordinate axis of a C-ordered store,
         # which numpy does several times faster than over a short last axis
         stored = (self.z[:, None] >= children.T[:, :, None]).all(axis=0)
@@ -349,14 +358,14 @@ class _CarrierSearch:
         parent, start = self.pop()
 
         proj = dinkelbach_project(self.r, parent, start=start)
-        f_proj = float(np.sum(np.log(proj.z_proj)))
+        f_proj = float(np.log(proj.z_proj).sum())
         if f_proj >= self.lb:
             self.lb, self.best_q = f_proj, proj.powers
 
         t = self.lb + self.tol
         children = generate_children(parent, upper=np.maximum(proj.lam_upper * parent, 1.0))
         reduced = reduce_children(self.r, children, t)
-        if reduced.shape != children.shape or np.any(reduced != children):
+        if reduced.shape != children.shape or (reduced != children).any():
             # the parts cut away may hold realizable points worth up to t
             self.dropped_max = max(self.dropped_max, t)
         self.add(reduced, proj.powers, t)

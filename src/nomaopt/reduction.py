@@ -18,6 +18,7 @@ coordinate, entries within 1e-9 below 1 (zero-power round-off) read as 1.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,7 +109,7 @@ def reduce_scenario(s: Scenario) -> ReducedProblem:
     weighted objectives, and every call checks them. The problem itself is
     computed once per Scenario (see ``model._memo``).
     """
-    if np.any(s.weights != 1.0):
+    if (s.weights != 1.0).any():
         raise UnsupportedWeightsError("the reduction requires all rate weights equal to 1")
     return _memo(s, "_reduced", _reduce_scenario)
 
@@ -147,10 +148,14 @@ def _reduce_scenario(s: Scenario) -> ReducedProblem:
 
 
 def _as_powers(r: ReducedProblem, q) -> np.ndarray:
+    """Checked flat reduced powers: ``r.dim`` finite non-negative entries.
+    Public functions check their powers here once; the solver's own arrays
+    go to the unchecked helpers (``_nd``, ``_allocation``)."""
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != r.dim:
         raise ValueError(f"expected {r.dim} reduced powers, got {q.shape[0]}")
-    if not np.all(np.isfinite(q)) or np.any(q < 0):
+    # NaN fails both comparisons; r.dim >= 1, so q is not empty
+    if not (q.min() >= 0.0 and q.max() < math.inf):
         raise ValueError("powers must be finite and non-negative")
     return q
 
@@ -161,9 +166,9 @@ def _as_sinrs(z, dim: int | None = None) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(-1)
     if dim is not None and z.shape[0] != dim:
         raise ValueError(f"expected {dim} shifted SINRs, got {z.shape[0]}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("shifted SINRs must be finite")
-    if np.any(z < 1.0 - _Z_SNAP):
+    if (z < 1.0 - _Z_SNAP).any():
         raise ValueError(f"shifted SINRs must be >= 1, worst {z.min()!r}")
     return np.maximum(z, 1.0)
 
@@ -174,7 +179,11 @@ def compute_nd(r: ReducedProblem, q) -> tuple[np.ndarray, np.ndarray, np.ndarray
     d = inter-cell interference + noise and n = serving power term + d, per
     entry, so ratios = n / d = 1 + SINR, the only evaluation of it.
     """
-    q = _as_powers(r, q)
+    return _nd(r, _as_powers(r, q))
+
+
+def _nd(r: ReducedProblem, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``compute_nd`` at flat powers q already checked (``_as_powers``)."""
     K, L = r.gain_active.shape
     d = np.einsum("klj,jl->kl", r.gain_cross, q.reshape(K, L)).reshape(-1) + r.scenario.noise_power
     n = r.gain_active.reshape(-1) * q + d
@@ -325,16 +334,21 @@ def membership(r: ReducedProblem, z, tol: float = _CAP_RTOL) -> bool:
 def sum_rate_from_powers(r: ReducedProblem, q) -> float:
     """Sum rate in nats achieved by reduced powers q, computed directly."""
     q = _as_powers(r, q)
-    d = compute_nd(r, q)[1]
-    return float(np.sum(np.log1p(r.gain_active.reshape(-1) * q / d)))
+    d = _nd(r, q)[1]
+    return float(np.log1p(r.gain_active.reshape(-1) * q / d).sum())
 
 
 def allocation_from_powers(r: ReducedProblem, q) -> Allocation:
     """Full-length Allocation serving the chosen user per (cell, carrier)."""
-    q = _as_powers(r, q)
+    return _allocation(r, _as_powers(r, q))
+
+
+def _allocation(r: ReducedProblem, q: np.ndarray) -> Allocation:
+    """``allocation_from_powers`` at flat powers q already checked: 0/1
+    assignments and finite non-negative powers, zero where unassigned."""
     a = np.zeros(r.scenario.size, dtype=np.int64)
     p = np.zeros(r.scenario.size)
     idx = list(r.active)
     a[idx] = 1
     p[idx] = q
-    return Allocation(a=a, p=p)
+    return Allocation._unchecked(a, p)

@@ -209,7 +209,9 @@ _gain = st.one_of(
 def _instances(draw):
     K = draw(st.integers(1, 4))
     L = draw(st.integers(1, 3))
-    users = tuple(draw(st.lists(st.integers(1, 4), min_size=K, max_size=K)))
+    # up to 9 users per cell: numpy sums a slice of 9 or more in blocks of
+    # 8 partial sums, which the one-call carrier sums must reproduce
+    users = tuple(draw(st.lists(st.integers(1, 9), min_size=K, max_size=K)))
     U = sum(users)
     gains = np.array(draw(st.lists(_gain, min_size=K * U * L, max_size=K * U * L))).reshape(K, U, L)
     noise = draw(st.sampled_from([1e-3, 0.5, 1.0, 2.0]))
@@ -232,6 +234,29 @@ def _instances(draw):
     power = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
     p = a * np.array(draw(st.lists(power, min_size=s.size, max_size=s.size)))
     return s, Allocation(a=a, p=p)
+
+
+def _layout_instance(users, L=2, seed=0):
+    """Random gains and powers on a fixed user layout, every entry active
+    with positive power: with users (1, 9, 2) the carrier sums take the
+    per-cell path, with equal counts the one-call path, in both cases over
+    slices long enough for numpy's blocked summation."""
+    rng = np.random.default_rng(seed)
+    K, U = len(users), sum(users)
+    caps = np.full((K, L), 2.0)
+    s = Scenario(
+        num_cells=K,
+        num_subcarriers=L,
+        users_per_cell=users,
+        sic_limit=9,
+        gains=rng.uniform(1e-3, 10.0, size=(K, U, L)) * 10.0 ** rng.integers(-6, 3, size=(K, U, L)),
+        noise_power=1e-3,
+        subcarrier_cap=caps,
+        cell_cap=caps.sum(axis=1),
+    )
+    size = U * L
+    p = rng.uniform(0.0, 0.3, size=size) * 10.0 ** rng.integers(-9, 1, size=size)
+    return s, Allocation(a=np.ones(size, dtype=int), p=p)
 
 
 def _bits(x) -> bytes:
@@ -266,6 +291,9 @@ def _round_off_pair(weak, strong, weak_cross, strong_cross):
 # and no violation
 @example(_round_off_pair(0.1, 1.0, 0.3, 3.0))
 @example(_round_off_pair(1.0, 1.0, 0.3, 0.1 * 3.0))
+# ragged and equal layouts with 9 users in a cell
+@example(_layout_instance((1, 9, 2)))
+@example(_layout_instance((9, 9), L=3, seed=1))
 def test_model_matches_the_per_entry_reference(instance):
     s, alloc = instance
     order = build_decoding_order(s)
