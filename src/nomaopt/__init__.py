@@ -2,127 +2,30 @@
 
 The package solves joint power and sub-carrier allocation to epsilon
 global optimality via outer polyblock approximation over the achievable
-SINR set, with a fractional-programming boundary projection. It ships an
-exhaustive grid cross-check, two declared stand-in baseline heuristics,
-and a reproducible scenario generator plus experiment harness.
+SINR set, with a bracketed line search as the boundary projection. It
+ships an exhaustive grid cross-check, two declared stand-in baseline
+heuristics, and a reproducible scenario generator plus experiment harness.
+
+A name is public exactly when the module that defines it lists it in its
+``__all__``; the package re-exports those lists.
 """
 
-from .model import (
-    LN2,
-    Allocation,
-    AllocationError,
-    DecodingOrder,
-    FeasibilityReport,
-    Scenario,
-    ScenarioError,
-    Violation,
-    build_decoding_order,
-    check_feasible,
-    sic_always_feasible,
-    sic_pair_margin,
-    sinr,
-    sum_rate,
-)
-from .reduction import (
-    InconsistentSinrError,
-    ReducedProblem,
-    UnsupportedWeightsError,
-    allocation_from_powers,
-    compute_nd,
-    membership,
-    objective,
-    p_from_z,
-    reduce_scenario,
-    sum_rate_from_powers,
-    z_from_p,
-)
-from .fractional import (
-    ProjectionError,
-    ProjectionResult,
-    dinkelbach_project,
-)
-from .polyblock import (
-    MAX_ITERATIONS,
-    MAX_VERTICES,
-    SolveResult,
-    TraceRow,
-    generate_children,
-    initial_vertex,
-    solve,
-    write_trace_csv,
-)
-from .oracle import GridOptimum, baseline_full_power, baseline_greedy, grid_optimum
-from .experiments import (
-    BenchResult,
-    CdfResult,
-    RadioConfig,
-    SweepResult,
-    cdf_experiment,
-    generate_scenario,
-    power_sweep,
-    runtime_bench,
-    scenario_with_caps,
-    wilson_interval,
-    write_bench_csv,
-    write_cdf_csv,
-    write_sweep_csv,
-)
+from . import experiments, fractional, model, oracle, polyblock, reduction
+from .experiments import *  # noqa: F403
+from .fractional import *  # noqa: F403
+from .model import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .polyblock import *  # noqa: F403
+from .reduction import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "LN2",
-    "Scenario",
-    "ScenarioError",
-    "Allocation",
-    "AllocationError",
-    "DecodingOrder",
-    "build_decoding_order",
-    "sinr",
-    "sum_rate",
-    "sic_pair_margin",
-    "sic_always_feasible",
-    "check_feasible",
-    "FeasibilityReport",
-    "Violation",
-    "UnsupportedWeightsError",
-    "InconsistentSinrError",
-    "ReducedProblem",
-    "reduce_scenario",
-    "z_from_p",
-    "p_from_z",
-    "objective",
-    "membership",
-    "sum_rate_from_powers",
-    "allocation_from_powers",
-    "ProjectionError",
-    "ProjectionResult",
-    "compute_nd",
-    "dinkelbach_project",
-    "SolveResult",
-    "TraceRow",
-    "solve",
-    "initial_vertex",
-    "generate_children",
-    "write_trace_csv",
-    "MAX_ITERATIONS",
-    "MAX_VERTICES",
-    "GridOptimum",
-    "grid_optimum",
-    "baseline_full_power",
-    "baseline_greedy",
-    "RadioConfig",
-    "generate_scenario",
-    "scenario_with_caps",
-    "CdfResult",
-    "cdf_experiment",
-    "SweepResult",
-    "power_sweep",
-    "BenchResult",
-    "runtime_bench",
-    "wilson_interval",
-    "write_cdf_csv",
-    "write_sweep_csv",
-    "write_bench_csv",
+    *model.__all__,
+    *reduction.__all__,
+    *fractional.__all__,
+    *polyblock.__all__,
+    *oracle.__all__,
+    *experiments.__all__,
 ]

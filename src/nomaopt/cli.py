@@ -156,7 +156,7 @@ def cmd_solve(args) -> int:
     _write_json(args.out, result.to_json_dict())
     if args.trace:
         write_trace_csv(result.trace, _out_path(args.trace))
-    gap = (result.upper_bound - result.sum_rate_nats) if result.upper_bound is not None else float("nan")
+    gap = result.upper_bound - result.sum_rate_nats
     print(f"status={result.status} certified={result.certified} "
           f"sum_rate={result.sum_rate_nats:.12g} nats ({result.sum_rate_bits:.12g} bits) "
           f"upper_bound={result.upper_bound:.12g} gap={gap:.12g} "

@@ -71,10 +71,19 @@ def _real_array(values, name: str) -> np.ndarray:
     return np.array(values, dtype=float, copy=True)
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
+def _frozen_array(values) -> np.ndarray:
+    out = np.array(values, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum: the built-in ``sum`` compensates round-off
+    from Python 3.12 on, so results would depend on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _read_json(cls, name: str, *, text: str | None = None, data=None):
@@ -157,20 +166,20 @@ class Scenario:
             raise ScenarioError(
                 f"gains must have shape (cells, total users, sub-carriers) = {(K, U, L)}, got {gains.shape}"
             )
-        if not np.all(np.isfinite(gains)) or np.any(gains <= 0.0):
+        if not np.isfinite(gains).all() or (gains <= 0.0).any():
             raise ScenarioError("gains must be strictly positive and finite")
         noise = _real(self.noise_power, "noise_power")
         if noise <= 0.0:
             raise ScenarioError("noise_power must be positive and finite")
         sc_cap = _real_array(self.subcarrier_cap, "subcarrier_cap")
-        if sc_cap.shape != (K, L) or not np.all(np.isfinite(sc_cap)) or np.any(sc_cap < 0):
+        if sc_cap.shape != (K, L) or not np.isfinite(sc_cap).all() or (sc_cap < 0).any():
             raise ScenarioError("subcarrier_cap must be a (K, L) array of non-negative watts")
         cell_cap = _real_array(self.cell_cap, "cell_cap")
-        if cell_cap.shape != (K,) or not np.all(np.isfinite(cell_cap)) or np.any(cell_cap < 0):
+        if cell_cap.shape != (K,) or not np.isfinite(cell_cap).all() or (cell_cap < 0).any():
             raise ScenarioError("cell_cap must be a (K,) array of non-negative watts")
         sums = sc_cap.sum(axis=1)
         over = sums > cell_cap * (1.0 + 1e-12)
-        if np.any(over):
+        if over.any():
             k = int(np.argmax(over))
             raise ScenarioError(
                 f"sub-carrier caps of cell {k} sum to {sums[k]:.6g} W, above its cell cap {cell_cap[k]:.6g} W"
@@ -182,7 +191,7 @@ class Scenario:
             if isinstance(w, (list, tuple)) and len(w) == K and isinstance(w[0], (list, tuple)):
                 w = [x for cell in w for x in cell]
             w = _real_array(w, "weights")
-        if w.shape != (U,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        if w.shape != (U,) or not np.isfinite(w).all() or (w < 0).any():
             raise ScenarioError("weights must be one finite non-negative value per user")
         if not isinstance(self.meta, dict):
             raise ScenarioError(f"meta must be a JSON object, got {type(self.meta).__name__}")
@@ -265,23 +274,15 @@ class Scenario:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        w = self.weights
-        nested_w = []
-        for k in range(self.num_cells):
-            off = self._user_offsets[k]
-            nested_w.append(w[off : off + self.users_per_cell[k]].tolist())
-        return {
-            "num_cells": self.num_cells,
-            "num_subcarriers": self.num_subcarriers,
-            "users_per_cell": list(self.users_per_cell),
-            "sic_limit": self.sic_limit,
-            "gains": self.gains.tolist(),
-            "noise_power": self.noise_power,
-            "subcarrier_cap": self.subcarrier_cap.tolist(),
-            "cell_cap": self.cell_cap.tolist(),
-            "weights": nested_w,
-            "meta": self.meta,
-        }
+        """The fields in declaration order, arrays and tuples as lists and
+        the weights nested per cell."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = np.asarray(value).tolist() if isinstance(value, (np.ndarray, tuple)) else value
+        offsets = self._user_offsets
+        out["weights"] = [out["weights"][a:b] for a, b in zip(offsets, offsets[1:])]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -540,13 +541,7 @@ class Violation:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "constraint": self.constraint,
-            "cell": self.cell,
-            "subcarrier": self.subcarrier,
-            "magnitude": self.magnitude,
-            "detail": self.detail,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, _integer
+from .model import Scenario, _integer, _sum
 
 # unused here: the benchmark tracer patches the model calls under these names
 from .model import build_decoding_order, check_feasible, sic_always_feasible, sum_rate  # noqa: F401
@@ -90,7 +90,8 @@ def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
     go to the lowest flat index: the first maximum within a slab, and a
     later slab only on a strictly greater value; per carrier, that is the
     lowest flat index of the joint grid too. ``value`` sums the chosen
-    point's rate terms from 0.0 in flat order, as a joint search would.
+    point's rate terms from 0.0 in flat order, left to right (``_sum``),
+    as a joint search would.
     """
     grid_points_per_dim = _integer(grid_points_per_dim, "grid_points_per_dim")
     if grid_points_per_dim < 2:
@@ -134,7 +135,7 @@ def grid_optimum(s: Scenario, grid_points_per_dim: int) -> GridOptimum:
     spread = np.einsum("klj,jl->kl", r.gain_cross, spacing.reshape(K, L)) / N
     return GridOptimum(
         q=best_q,
-        value=sum(terms.tolist()),
+        value=_sum(terms.tolist()),
         error_bound=float(np.log1p(spread).sum()),
         spacing=spacing,
         evaluated=evaluated,

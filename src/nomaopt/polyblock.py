@@ -54,6 +54,7 @@ from .model import (
     Scenario,
     _integer,
     _real,
+    _sum,
     _write_csv,
     build_decoding_order,
     check_feasible,
@@ -75,7 +76,6 @@ from .reduction import (
 __all__ = [
     "TraceRow",
     "SolveResult",
-    "initial_vertex",
     "generate_children",
     "reduce_children",
     "solve",
@@ -371,15 +371,6 @@ class _CarrierSearch:
         self.add(reduced, proj.powers, t)
 
 
-def _sum(values) -> float:
-    """Left-to-right float sum: the built-in ``sum`` compensates round-off
-    from Python 3.12 on, so bounds would depend on the Python version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def solve(
     s: Scenario,
     epsilon: float,
@@ -414,7 +405,6 @@ def solve(
     iterations = 0
     trace: list[TraceRow] = []
     status = "optimal"
-    certified = True
     while True:
         gaps = [g.m * (g.ub - g.lb) for g in groups]
         refinable = [i for i, g in enumerate(groups) if g.f.size]
@@ -422,7 +412,6 @@ def solve(
             break
         if iterations >= max_iterations or sum(g.f.size for g in groups) >= max_vertices:
             status = "budget_exceeded"
-            certified = False
             break
         upper = _sum(g.m * g.ub for g in groups)
         iterations += 1
@@ -437,7 +426,7 @@ def solve(
     result = SolveResult.from_powers(
         r, q.reshape(-1), t0, algorithm="polyblock", epsilon=epsilon,
         iterations=iterations, projections=iterations, upper_bound=float(upper),
-        certified=certified, status=status, trace=tuple(trace),
+        certified=status == "optimal", status=status, trace=tuple(trace),
     )
     if abs(result.sum_rate_nats - f_best) > 1e-6:
         raise RuntimeError(

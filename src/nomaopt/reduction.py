@@ -33,6 +33,7 @@ __all__ = [
     "reduce_scenario",
     "compute_nd",
     "z_from_p",
+    "initial_vertex",
     "p_from_z",
     "power_systems",
     "objective",
@@ -129,14 +130,12 @@ def _reduce_scenario(s: Scenario) -> ReducedProblem:
     g_cross = gathered.transpose(1, 2, 0).copy()
     g_cross[cells, :, cells] = 0.0
     starts = np.array([s.flat_index(k, 0, 0) for k in range(K)])
+    # ascending, as the flat reduced vectors are: cell blocks start in cell
+    # order, and M_k * l + best < M_k * L stays inside cell k's block
     active = (starts[:, None] + np.array(M)[:, None] * np.arange(L) + best).reshape(-1)
     best.setflags(write=False)
     g_act.setflags(write=False)
     g_cross.setflags(write=False)
-    order = np.argsort(active)
-    if not np.all(order == np.arange(len(active))):
-        # canonical order is cell-major then carrier, as in the flat reduced vectors
-        raise AssertionError("active indices not in canonical order")
     return ReducedProblem(
         scenario=s,
         best_user=best,
@@ -309,18 +308,18 @@ def objective(z, weights=None) -> float:
     return float(w @ np.log(_as_sinrs(z, w.shape[0])))
 
 
-def _over_cap(r: ReducedProblem, q: np.ndarray, tol: float = _CAP_RTOL) -> np.ndarray:
+def _over_cap(r: ReducedProblem, q: np.ndarray) -> np.ndarray:
     """Where the flat reduced powers q (rows of K*L, or of K when r has one
-    carrier) exceed their carrier caps beyond relative slack tol, and tol
-    times the noise power for zero caps."""
-    return q > r.cap_carrier.reshape(-1) * (1.0 + tol) + tol * r.scenario.noise_power
+    carrier) exceed their carrier caps beyond relative slack ``_CAP_RTOL``,
+    and ``_CAP_RTOL`` times the noise power for zero caps."""
+    return q > r.cap_carrier.reshape(-1) * (1.0 + _CAP_RTOL) + _CAP_RTOL * r.scenario.noise_power
 
 
-def membership(r: ReducedProblem, z, tol: float = _CAP_RTOL) -> bool:
+def membership(r: ReducedProblem, z) -> bool:
     """True when the flat shifted SINRs z are realizable within the power caps.
 
     z is checked as in ``p_from_z``. Realizable means p_from_z succeeds
-    and no power exceeds its carrier cap beyond the round-off slack tol of
+    and no power exceeds its carrier cap beyond the round-off slack of
     ``_over_cap``. Scenario validation keeps the carrier caps within each
     cell cap, so the cell caps hold as well.
     """
@@ -328,7 +327,7 @@ def membership(r: ReducedProblem, z, tol: float = _CAP_RTOL) -> bool:
         q = p_from_z(r, z)
     except InconsistentSinrError:
         return False
-    return not np.any(_over_cap(r, q, tol))
+    return not np.any(_over_cap(r, q))
 
 
 def sum_rate_from_powers(r: ReducedProblem, q) -> float:

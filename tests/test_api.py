@@ -1,6 +1,7 @@
 """The public names the package declares."""
 
 import importlib
+import inspect
 import os
 import pickle
 import pkgutil
@@ -37,6 +38,23 @@ def test_every_exported_name_resolves():
     ]
     assert not split
     assert nomaopt.compute_nd.__module__ == "nomaopt.reduction"
+
+
+def test_each_name_is_declared_by_the_module_that_defines_it():
+    modules = [
+        importlib.import_module(f"nomaopt.{name}")
+        for name in ("model", "reduction", "fractional", "polyblock", "oracle", "experiments")
+    ]
+    # the package re-exports the modules' own lists, in order, and nothing else
+    assert nomaopt.__all__ == ["__version__"] + [name for m in modules for name in m.__all__]
+    foreign = [
+        f"{m.__name__}.{name}"
+        for m in modules
+        for name in m.__all__
+        if (inspect.isclass(obj := getattr(m, name)) or inspect.isfunction(obj))
+        and obj.__module__ != m.__name__
+    ]
+    assert not foreign
 
 
 def test_exceptions_pickle_round_trip():

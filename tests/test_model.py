@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -64,30 +65,34 @@ def test_scenario_rejects_bad_inputs():
     good = _GOOD
     Scenario(**good)  # sanity: the base case is valid
 
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "num_cells": 0})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "users_per_cell": (0,)})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "sic_limit": 0})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "gains": [[[1.0, 2.0]]]})  # wrong shape
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "gains": [[[-1.0]]]})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "gains": [[[0.0]]]})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "noise_power": 0.0})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "noise_power": float("nan")})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "subcarrier_cap": [[-1.0]]})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "cell_cap": [-1.0]})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "weights": [-1.0]})
-    with pytest.raises(ScenarioError):
-        Scenario(**{**good, "weights": [1.0, 2.0]})
+    caps = "sub-carrier caps of cell 0 sum to 2 W, above its cell cap 1 W"
+    for field, value, message in (
+        ("num_cells", 0, "need at least one cell and one sub-carrier"),
+        ("num_subcarriers", 0, "need at least one cell and one sub-carrier"),
+        ("users_per_cell", (0,), "users_per_cell must list one positive count per cell"),
+        ("users_per_cell", 1, "users_per_cell must be a sequence of integers"),
+        ("sic_limit", 0, "sic_limit must be a positive integer"),
+        ("gains", [[[1.0, 2.0]]],  # wrong shape
+         "gains must have shape (cells, total users, sub-carriers) = (1, 1, 1), got (1, 1, 2)"),
+        ("gains", [[[-1.0]]], "gains must be strictly positive and finite"),
+        ("gains", [[[0.0]]], "gains must be strictly positive and finite"),
+        ("gains", [[[np.inf]]], "gains must be strictly positive and finite"),
+        ("noise_power", 0.0, "noise_power must be positive and finite"),
+        ("noise_power", float("nan"), "noise_power must be a finite number, got nan"),
+        ("subcarrier_cap", [[-1.0]], "subcarrier_cap must be a (K, L) array of non-negative watts"),
+        ("subcarrier_cap", [[np.nan]], "subcarrier_cap must be a (K, L) array of non-negative watts"),
+        ("subcarrier_cap", [1.0], "subcarrier_cap must be a (K, L) array of non-negative watts"),
+        ("subcarrier_cap", [[2.0]], caps),
+        ("cell_cap", [-1.0], "cell_cap must be a (K,) array of non-negative watts"),
+        ("cell_cap", [np.inf], "cell_cap must be a (K,) array of non-negative watts"),
+        ("cell_cap", [[1.0]], "cell_cap must be a (K,) array of non-negative watts"),
+        ("weights", [-1.0], "weights must be one finite non-negative value per user"),
+        ("weights", [np.nan], "weights must be one finite non-negative value per user"),
+        ("weights", [1.0, 2.0], "weights must be one finite non-negative value per user"),
+        ("meta", [], "meta must be a JSON object, got list"),
+    ):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            Scenario(**{**good, field: value})
 
 
 @pytest.mark.parametrize(

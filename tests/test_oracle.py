@@ -1,6 +1,9 @@
 """Grid search reference and the two heuristic baselines."""
 
+import builtins
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -28,6 +31,43 @@ def test_grid_single_cell_hits_endpoint_exactly():
     assert ref.spacing == pytest.approx([0.2])
     # one cell has no interferers, so the grid value is the optimum
     assert ref.error_bound == 0.0
+
+
+def _compensated_sum(values, start=0):
+    """The built-in ``sum`` of Python 3.12 on: Neumaier compensation when
+    every item is a float, plain addition otherwise."""
+    values = list(values)
+    if not all(type(v) is float for v in values):
+        return functools.reduce(operator.add, values, start)
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_grid_value_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # value is the chosen point's rate terms summed left to right in flat
+    # order, whichever way the running Python's sum adds floats
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    rng = np.random.default_rng(24)
+    for K, L in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
+        for _ in range(6):
+            s = random_scenario(rng, num_cells=K, num_subcarriers=L, users_per_cell=2)
+            got = grid_optimum(s, 9)
+            r = reduce_scenario(s)
+            q = got.q[None]
+            expected = 0.0
+            for i in range(r.dim):
+                k, l = divmod(i, L)
+                inter = 0.0
+                for j in range(K):
+                    if j != k:
+                        inter = inter + r.gain_cross[k, l, j] * q[:, j * L + l]
+                d = inter + r.scenario.noise_power
+                expected += float(np.log1p(r.gain_active[k, l] * q[:, i] / d)[0])
+            assert got.value == expected
 
 
 def test_grid_zero_caps_gives_silence():
