@@ -428,6 +428,13 @@ def _run_trials(cfg: RadioConfig, caps, epsilons, trials: int, threads: int) -> 
         raise ValueError("need caps, epsilons, at least one trial and at least one worker")
     if len(set(caps)) < len(caps) or len(set(epsilons)) < len(epsilons):
         raise ValueError("caps and epsilons must not repeat a value: each names its own rows")
+    # checked here, so that a bad value fails before any worker starts
+    for cap in caps:
+        if cap < 0.0:
+            raise ValueError(f"caps must be non-negative watts, got {cap!r}")
+    for eps in epsilons:
+        if eps <= 0.0:
+            raise ValueError(f"epsilon must be a positive finite number, got {eps!r}")
     run_trial = functools.partial(_trial, cfg, caps, epsilons)
     workers = min(threads, trials, _usable_cpus())
     if workers > 1:

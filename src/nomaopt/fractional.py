@@ -34,10 +34,10 @@ import numpy as np
 
 from .reduction import (
     ReducedProblem,
+    _systems,
     compute_nd,
     initial_vertex,
     p_from_z,  # noqa: F401  (the benchmark tracer patches it under this name)
-    power_systems,
 )
 from .simplex import solve_canonical_max
 
@@ -193,10 +193,12 @@ def _evaluate(r: ReducedProblem, zc: list, caps: list, limit: list, lam: float) 
     z = [max(lam * c, 1.0) for c in zc]
     gamma = [v - 1.0 for v in z]
     K, L = r.gain_active.shape
-    q, inv, singular, negative = power_systems(r, np.array(gamma).reshape(K, L).T)
-    if singular.any() or negative.any():
+    # the solver projects one carrier at a time: one row, no (K, L) transposes
+    one = L == 1
+    x, singular, negative = _systems(r, np.array([gamma]) if one else np.array(gamma).reshape(K, L).T)
+    if any(singular) or any(negative):
         return _Point(lam, z, None, math.nan, False)
-    q = q.T.reshape(-1)
+    q = x[0, :, 0] if one else x[:, :, 0].T.reshape(-1)
     qs = q.tolist()
     if min(qs) < 0.0:
         q = np.maximum(q, 0.0)  # round-off below zero, within the verdict's room
@@ -205,7 +207,10 @@ def _evaluate(r: ReducedProblem, zc: list, caps: list, limit: list, lam: float) 
     if any([a > c for a, c in zip(qs, caps)]):
         return _Point(lam, z, q, h, False)
     rate = np.array([c * a / g if g > 0.0 else 0.0 for c, a, g in zip(zc, qs, gamma)])
-    dq = np.matmul(inv, rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1).tolist()
+    if one:
+        dq = (x[0, :, 1:] @ rate).tolist()
+    else:
+        dq = np.matmul(x[:, :, 1:], rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1).tolist()
     reach = min([(c - a) / d for c, a, d in zip(caps, qs, dq) if d > 0.0], default=math.inf)
     step = 0.5 * min(_LAM_RTOL * lam, _Q_ATOL / max(max(dq), 1e-300))
     return _Point(lam, z, q, h, True, lam + reach, max(step, math.ulp(lam)))

@@ -63,6 +63,7 @@ from .model import (
 )
 from .reduction import (
     _CAP_RTOL,
+    _EPS,
     ReducedProblem,
     _allocation,
     _as_powers,
@@ -218,16 +219,26 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
     """
     logs = np.log(children)
     f = logs.sum(axis=1, keepdims=True)
-    slack = 4.0 * (children.shape[1] + 2) * np.finfo(float).eps * (1.0 + abs(t) + f)
-    a = np.maximum(np.exp(t - f + logs - slack), 1.0)
-    q, _, singular, negative = power_systems(r, a - 1.0)
+    slack = (1.0 + abs(t)) + f
+    slack *= 4.0 * (children.shape[1] + 2) * _EPS
+    # gamma = max(a, 1) - 1 at the corner a = exp(t - f + log v - slack)
+    gamma = t - f + logs
+    gamma -= slack
+    np.exp(gamma, out=gamma)
+    np.maximum(gamma, 1.0, out=gamma)
+    gamma -= 1.0
+    q, _, singular, negative = power_systems(r, gamma)
     over = _over_cap(r, q).any(axis=1)
     scale, neg_cross = r._system
     # minus the product with the negated gains is plus the product with the gains, bit for bit
-    den = scale * r.scenario.noise_power - np.maximum(q, 0.0) @ neg_cross[0].T
-    bound = 1.0 + r.cap_carrier.reshape(-1) / den * (1.0 + _CAP_RTOL)
+    bound = np.maximum(q, 0.0) @ neg_cross[0].T
+    np.subtract(scale * r.scenario.noise_power, bound, out=bound)
+    np.divide(r.cap_carrier.reshape(-1), bound, out=bound)
+    bound *= 1.0 + _CAP_RTOL
+    bound += 1.0
+    lowered = np.minimum(children, bound, out=bound)
     keep = singular | (f[:, 0] <= t)
-    lowered = np.where(keep[:, None], children, np.minimum(children, bound))
+    np.copyto(lowered, children, where=keep[:, None])
     return lowered[keep | ~(negative | over)]
 
 

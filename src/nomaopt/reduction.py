@@ -46,6 +46,9 @@ __all__ = [
 _Z_SNAP = 1e-9
 # relative round-off slack on the carrier caps (``_over_cap``)
 _CAP_RTOL = 1e-9
+# float64 machine epsilon, the round-off unit of the error bounds in
+# ``power_systems`` and ``polyblock.reduce_children``
+_EPS = float(np.finfo(float).eps)
 
 
 class UnsupportedWeightsError(ValueError):
@@ -239,7 +242,10 @@ def power_systems(
     """Solve a batch of power systems in one call, with verdicts per system.
 
     Row b of gamma (B, K) asks cell k for SINR gamma[b, k] on carrier b,
-    or on the one carrier of r for every row when r has one. Cell k on
+    or on the one carrier of r for every row when r has one: the rows are
+    a vector's carriers in ``p_from_z`` and a multi-carrier projection, a
+    vertex's children in the reduce step, and in the solver's line search,
+    which takes one carrier at a time, a single row. Cell k on
     carrier l needs g_kk q_k = gamma_k (N + sum_j g_kj q_j) over the other
     cells j on l. Dividing each row by its serving gain (Scenario
     validation keeps gains positive) gives A q = gamma N / g with
@@ -258,11 +264,23 @@ def power_systems(
     test is free of units, and a tiny power that cancels to just below
     zero stays within the bound; callers clamp it to 0.
     """
+    x, singular, negative = _systems(r, gamma)
+    return x[:, :, 0], x[:, :, 1:], np.array(singular, dtype=bool), np.array(negative, dtype=bool)
+
+
+def _systems(r: ReducedProblem, gamma: np.ndarray) -> tuple[np.ndarray, list[bool], list[bool]]:
+    """``power_systems`` with each row's powers and inverse side by side,
+    x[b] = [q | A^-1] (B, K, K + 1), and the verdicts as lists, which the
+    line search reads without a further numpy call."""
     B, K = gamma.shape
     scale, neg_cross = r._system
+    # out= keeps A C-contiguous whatever gamma's layout, so the strided
+    # diagonal write below lands in A itself
     A = np.multiply(gamma[:, :, None], neg_cross, out=np.empty((B, K, K)))
-    A *= gamma[:, None, :] > 0.0
-    # flat positions k (K + 1) address the diagonal (A is C-contiguous)
+    # drop silent cells' columns; with every SINR positive (NaN is not) there are none
+    if not gamma.min() > 0.0:
+        A *= gamma[:, None, :] > 0.0
+    # flat positions k (K + 1) address the diagonal
     A.reshape(B, K * K)[:, :: K + 1] = 1.0
     rhs = np.zeros((B, K, K + 1))
     rhs[:, :, 0] = gamma * scale * r.scenario.noise_power
@@ -270,15 +288,17 @@ def power_systems(
     # address its diagonal (rhs is C-contiguous, so this writes through)
     rhs.reshape(B, K * (K + 1))[:, 1 :: K + 2] = 1.0
     x = _solve_batch(A, rhs)
-    growth = np.abs(x.reshape(B, K * (K + 1))[:, 1 :: K + 2])
-    q, inv = x[:, :, 0], x[:, :, 1:]
-    # NaN (an exactly singular system) compares false: singular, not negative
-    negative = q.min(axis=1) < 0.0
-    if negative.any():
-        b, qc = rhs[:, :, :1], x[:, :, :1]
-        slack = 4.0 * (K + 2) * np.finfo(float).eps * (np.abs(A) @ np.abs(qc) + b)
-        negative = (qc < -(np.abs(inv) @ (np.abs(b - A @ qc) + slack))).any(axis=(1, 2))
-    return q, inv, ~(growth.max(axis=1) <= 1e12), negative
+    # a flat row of x holds q_k at k (K + 1) and (A^-1)_kk at k (K + 2) + 1.
+    # NaN (an exactly singular system) fails the range test, so its row is
+    # singular, and the NaN test keeps it from being negative
+    rows = x.reshape(B, K * (K + 1))
+    singular = [not all([-1e12 <= v <= 1e12 for v in d]) for d in rows[:, 1 :: K + 2].tolist()]
+    negative = [min(q) < 0.0 and not any([v != v for v in q]) for q in rows[:, :: K + 1].tolist()]
+    if any(negative):
+        b, q, inv = rhs[:, :, :1], x[:, :, :1], x[:, :, 1:]
+        slack = 4.0 * (K + 2) * _EPS * (np.abs(A) @ np.abs(q) + b)
+        negative = (q < -(np.abs(inv) @ (np.abs(b - A @ q) + slack))).any(axis=(1, 2)).tolist()
+    return x, singular, negative
 
 
 def _solve_batch(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -438,6 +438,23 @@ def test_sweep_worker_count_is_capped(inline_pool, monkeypatch):
         assert inline_pool == [min(3, cpus)]
 
 
+def test_sweep_rejects_bad_caps_and_epsilons_before_any_worker(inline_pool, monkeypatch):
+    # a bad value fails before any pool is built, and the message names it
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    for caps, epsilons, message in (
+        ([1e-7, -1e-6], [0.5], "caps must be non-negative watts, got -1e-06"),
+        ([1e-7], [0.5, 0.0], "epsilon must be a positive finite number, got 0.0"),
+        ([1e-7], [-0.1], "epsilon must be a positive finite number, got -0.1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            power_sweep(SMALL, caps=caps, epsilons=epsilons, trials=2, threads=2)
+        assert str(info.value) == message
+    assert inline_pool == []
+    # a zero cap is a valid row: silence
+    assert power_sweep(SMALL, caps=[0.0], epsilons=[0.5], trials=2, threads=2).rows
+    assert inline_pool == [2]
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched solve")
 def test_sweep_worker_error_reaches_caller(monkeypatch):

@@ -3,11 +3,13 @@ indexing. The per-entry loop it replaced is kept here as the reference.
 Both copy the same gain entries, so the reduced arrays, their flags and
 the active indices must agree bit for bit, ties included.
 
-``power_systems`` keeps the negated scaled cross gains with the problem
-and sets the diagonal through a strided view, and ``reduce_children``
-subtracts the product with those negated gains. The bodies they replaced,
-which negate the gains and index the diagonal on every call and add the
-product with the gains, are kept here too. Negating a float is exact, so
+``power_systems`` keeps the negated scaled cross gains with the problem,
+sets the diagonal through a strided view, masks columns only when some
+SINR is 0 and reads its verdicts in Python, and ``reduce_children``
+subtracts the product with those negated gains, in place. The bodies they
+replaced, which negate the gains, index the diagonal and mask on every
+call, reduce the verdicts with numpy and add the product with the gains,
+are kept here too. Negating a float and multiplying by 1 are exact, so
 the powers, inverses and verdicts must agree bit for bit.
 
 ``z_from_p`` returns the ratios n / d of ``compute_nd``, the one 1 + SINR
@@ -176,19 +178,23 @@ def ref_reduce_children(r, children, t):
 
 def _batches(rng):
     """(reduced problem, SINR rows) pairs: random gains across 1e-16-1e-4 at
-    noise 1e-13, K 1-5, L 1-3, SINRs from well before to far past the pole,
+    noise 1e-13, K 1-8, L 1-3, SINRs from well before to far past the pole,
     a fifth of them 0; one row per carrier, passed as the transposed view
-    the line search passes, or with one carrier up to 8 rows. Then a
-    two-cell problem whose scaled cross gains are exactly 1, with exactly
-    singular rows (gamma_0 gamma_1 = 1) and rows past the pole."""
+    a multi-carrier projection passes, or with one carrier up to 8 rows,
+    and then its first row alone, C-contiguous, as the solver's line
+    search passes it. Then a two-cell problem whose scaled cross gains are
+    exactly 1, with exactly singular rows (gamma_0 gamma_1 = 1) and rows
+    past the pole."""
     for _ in range(400):
-        K, L = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        K, L = int(rng.integers(1, 9)), int(rng.integers(1, 4))
         g = 10.0 ** rng.uniform(-16.0, -4.0, (K, K, L))
         caps = rng.choice([0.0, 1e-6, 1e-3], (K, L))
         r = reduce_scenario(make_scenario(g, noise=1e-13, subcarrier_cap=caps))
         B = int(rng.integers(1, 9)) if L == 1 else L
         gamma = 10.0 ** rng.uniform(-6.0, 6.0, (K, B)) * (rng.random((K, B)) > 0.2)
         yield r, gamma.T
+        if L == 1:
+            yield r, np.array([gamma[:, 0].tolist()])
     r = reduce_scenario(make_scenario(np.full((2, 2, 1), 1e-9), noise=1e-13))
     yield r, np.array([[2.0, 0.5], [0.5, 2.0], [0.25, 4.0], [4.0, 4.0], [3.0, 1.0], [0.0, 9.0], [0.5, 0.5]])
 
