@@ -4,9 +4,10 @@ Rays, boundary points and powers are flat reduced arrays (length
 ``ReducedProblem.dim``, indexed by k * L + l), the form the polyblock
 loop keeps its vertices in. Along a ray, realizability of lambda * z is
 monotone in lambda, and testing it is one power-system solve per carrier
-plus a cap check (``reduction.power_systems``, the solve behind
-``p_from_z`` and ``membership``). The projection is a bracketed line
-search on lambda: the powers q(lambda) are a Neumann series in the
+plus a cap check (``reduction.power_systems``, which ``p_from_z`` and
+the reduce step read too; the solver projects one carrier's problem at a
+time, so there it is one K x K system). The projection is a bracketed
+line search on lambda: the powers q(lambda) are a Neumann series in the
 SINRs gamma = max(lambda z, 1) - 1 with non-negative coefficients, so
 h(lambda) = max_i q_i / cap_i - 1 is convex and nondecreasing up to the
 pole, a tangent step from the realizable lower end lands at or past the
@@ -34,10 +35,9 @@ import numpy as np
 
 from .reduction import (
     ReducedProblem,
-    _systems,
     compute_nd,
-    initial_vertex,
     p_from_z,  # noqa: F401  (the benchmark tracer patches it under this name)
+    power_systems,
 )
 from .simplex import solve_canonical_max
 
@@ -195,7 +195,7 @@ def _evaluate(r: ReducedProblem, zc: list, caps: list, limit: list, lam: float) 
     K, L = r.gain_active.shape
     # the solver projects one carrier at a time: one row, no (K, L) transposes
     one = L == 1
-    x, singular, negative = _systems(r, np.array([gamma]) if one else np.array(gamma).reshape(K, L).T)
+    x, singular, negative = power_systems(r, np.array([gamma]) if one else np.array(gamma).reshape(K, L).T)
     if any(singular) or any(negative):
         return _Point(lam, z, None, math.nan, False)
     q = x[0, :, 0] if one else x[:, :, 0].T.reshape(-1)
@@ -295,7 +295,7 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
     ratios = compute_nd(r, q)[2]
     zc, caps = zc.tolist(), caps.tolist()
     limit = [c if c > 0.0 else math.inf for c in caps]
-    hi = min([v / c for v, c in zip(initial_vertex(r).tolist(), zc)])
+    hi = min([v / c for v, c in zip(r._corner, zc)])
     lo = _evaluate(r, zc, caps, limit, min([a / c for a, c in zip(ratios.tolist(), zc)]))
     up = None
     evaluations = 1

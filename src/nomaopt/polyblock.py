@@ -62,15 +62,13 @@ from .model import (
     sum_rate,
 )
 from .reduction import (
-    _CAP_RTOL,
     _EPS,
     ReducedProblem,
     _allocation,
     _as_powers,
+    _cap_ceilings,
     _nd,
-    _over_cap,
     initial_vertex,
-    power_systems,
     reduce_scenario,
 )
 
@@ -136,9 +134,9 @@ class SolveResult:
     @classmethod
     def from_powers(cls, r: ReducedProblem, q, t0: float, **fields) -> SolveResult:
         """Result of a run begun at perf_counter t0 and ended at the flat reduced
-        powers q, scored through the full system model, with the shifted
-        SINRs they achieve (``z_from_p``); the wall time is taken before the
-        SIC flag and feasibility report. q is checked once, here.
+        powers q, scored through the full system model, with the shifted SINRs
+        they achieve (``reduction._nd``'s ratios); the wall time is taken
+        before the SIC flag and feasibility report. q is checked once, here.
         ``fields`` are the run's own: algorithm, epsilon, iterations,
         projections, upper_bound, certified, status and trace."""
         s = r.scenario
@@ -208,14 +206,14 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
     powers q(a) grow with the SINRs, so a realizable z >= a needs at least
     q(a) and has z_i <= 1 + g_ii cap_i / (N + sum_j g_ij q_j(a)).
 
-    All rows solve for q(a) in one batched ``power_systems`` call. A row
-    whose corner is past the pole, or needs more than a cap beyond the
-    round-off slack, holds nothing realizable worth more than t and is
-    dropped; any other row is lowered to the bound above, inflated by the
-    same slack. A singular system proves nothing, and its row is kept as
-    it is, as is a row worth at most t, which the prune that follows
-    drops at its own value, a tighter record than t. Rows keep their
-    order.
+    ``reduction._cap_ceilings`` solves for every row's q(a) in one batch.
+    A row whose corner is past the pole, or needs more than a cap beyond
+    the round-off slack, holds nothing realizable worth more than t and is
+    dropped; any other row is lowered to its ceilings, the bound above
+    inflated by the same slack. A singular system proves nothing, and its
+    row is kept as it is, as is a row worth at most t, which the prune
+    that follows drops at its own value, a tighter record than t. Rows
+    keep their order.
     """
     logs = np.log(children)
     f = logs.sum(axis=1, keepdims=True)
@@ -227,47 +225,11 @@ def reduce_children(r: ReducedProblem, children: np.ndarray, t: float) -> np.nda
     np.exp(gamma, out=gamma)
     np.maximum(gamma, 1.0, out=gamma)
     gamma -= 1.0
-    q, _, singular, negative = power_systems(r, gamma)
-    over = _over_cap(r, q).any(axis=1)
-    scale, neg_cross = r._system
-    # minus the product with the negated gains is plus the product with the gains, bit for bit
-    bound = np.maximum(q, 0.0) @ neg_cross[0].T
-    np.subtract(scale * r.scenario.noise_power, bound, out=bound)
-    np.divide(r.cap_carrier.reshape(-1), bound, out=bound)
-    bound *= 1.0 + _CAP_RTOL
-    bound += 1.0
-    lowered = np.minimum(children, bound, out=bound)
+    singular, unrealizable, ceiling = _cap_ceilings(r, gamma)
+    lowered = np.minimum(children, ceiling, out=ceiling)
     keep = singular | (f[:, 0] <= t)
     np.copyto(lowered, children, where=keep[:, None])
-    return lowered[keep | ~(negative | over)]
-
-
-def _carrier_problem(r: ReducedProblem, l: int) -> ReducedProblem:
-    """Reduced problem of carrier l alone: r's arrays sliced to that
-    carrier (contiguous), with r's scenario and the canonical indices of
-    the carrier's served entries. With one carrier that is r itself.
-    ``power_systems``' constants are elementwise in the data, so the
-    carrier's are r's sliced to it, bit for bit, and r works them out once."""
-    L = r.gain_active.shape[1]
-    if L == 1:
-        return r
-
-    def part(a: np.ndarray) -> np.ndarray:
-        a = np.ascontiguousarray(a[:, l : l + 1])
-        a.setflags(write=False)
-        return a
-
-    rp = ReducedProblem(
-        scenario=r.scenario,
-        best_user=part(r.best_user),
-        active=r.active[l::L],
-        gain_active=part(r.gain_active),
-        gain_cross=part(r.gain_cross),
-        cap_carrier=part(r.cap_carrier),
-    )
-    # a cached_property reads the instance dict first
-    rp.__dict__["_system"] = tuple(a[l : l + 1] for a in r._system)
-    return rp
+    return lowered[keep | ~unrealizable]
 
 
 def _carrier_groups(r: ReducedProblem) -> list[list[int]]:
@@ -409,7 +371,7 @@ def solve(
     r = reduce_scenario(s)
     K, L = r.gain_active.shape
     groups = [
-        _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, epsilon / L)
+        _CarrierSearch(r.carrier(carriers[0]), carriers, epsilon / L)
         for carriers in _carrier_groups(r)
     ]
 

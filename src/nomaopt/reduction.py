@@ -6,8 +6,8 @@ the binary assignment variables and the intra-cell interference terms.
 What remains is a continuous problem over one power q per (cell,
 sub-carrier) whose objective depends on the powers only through the
 per-pair values z = 1 + SINR. This module builds that reduced problem and
-provides the z <-> q conversions and power systems the solver uses, and
-the objective and membership test, which only checks of its results read.
+its carriers' parts, the z <-> q conversions, the power systems that every
+solver step solves, and the objective and membership test that checks read.
 
 Reduced vectors (powers q, shifted SINRs z) are flat arrays of length
 num_cells * num_subcarriers indexed by k * L + l, the only form of z.
@@ -103,6 +103,26 @@ class ReducedProblem:
         scale = 1.0 / self.gain_active.T
         cross = np.ascontiguousarray(np.transpose(self.gain_cross, (1, 0, 2))) * scale[:, :, None]
         return scale, -cross
+
+    @cached_property
+    def _corner(self) -> list[float]:
+        """``initial_vertex`` as Python floats, the line search's upper bound."""
+        return initial_vertex(self).tolist()
+
+    def carrier(self, l: int) -> ReducedProblem:
+        """Reduced problem of carrier l alone (the problem itself when it
+        has one): the arrays sliced to l, contiguous and read-only, with
+        this scenario and the canonical indices of l's served entries. Its
+        cached constants, elementwise in the data, equal this problem's
+        sliced to l, bit for bit."""
+        L = self.gain_active.shape[1]
+        if L == 1:
+            return self
+        names = ("best_user", "gain_active", "gain_cross", "cap_carrier")
+        parts = {n: np.ascontiguousarray(getattr(self, n)[:, l : l + 1]) for n in names}
+        for a in parts.values():
+            a.setflags(write=False)
+        return ReducedProblem(scenario=self.scenario, active=self.active[l::L], **parts)
 
 
 def reduce_scenario(s: Scenario) -> ReducedProblem:
@@ -219,16 +239,16 @@ def p_from_z(r: ReducedProblem, z) -> np.ndarray:
     that, a carrier past the pole raises InconsistentSinrError("negative").
     """
     K, L = r.gain_active.shape
-    q, inv, singular, negative = power_systems(r, (_as_sinrs(z, r.dim) - 1.0).reshape(K, L).T)
-    if singular.any():
-        l = int(np.argmax(singular))
-        pivot = 1.0 / np.abs(np.diagonal(inv[l])).max()
+    x, singular, negative = power_systems(r, (_as_sinrs(z, r.dim) - 1.0).reshape(K, L).T)
+    if any(singular):
+        l = singular.index(True)
+        pivot = 1.0 / np.abs(np.diagonal(x[l, :, 1:])).max()
         raise InconsistentSinrError(
             f"singular SINR system on carrier {l} (pivot {pivot:.3g})", reason="singular"
         )
-    q = q.T.reshape(-1)
+    q = x[:, :, 0].T.reshape(-1)
     low = int(np.argmin(q))
-    if negative.any():
+    if any(negative):
         raise InconsistentSinrError(
             f"SINR vector needs negative power {q[low]:.6g} W in cell {low // L} on carrier {low % L}",
             reason="negative",
@@ -236,42 +256,33 @@ def p_from_z(r: ReducedProblem, z) -> np.ndarray:
     return np.maximum(q, 0.0) if q[low] < 0.0 else q
 
 
-def power_systems(
-    r: ReducedProblem, gamma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def power_systems(r: ReducedProblem, gamma: np.ndarray) -> tuple[np.ndarray, list[bool], list[bool]]:
     """Solve a batch of power systems in one call, with verdicts per system.
 
     Row b of gamma (B, K) asks cell k for SINR gamma[b, k] on carrier b,
     or on the one carrier of r for every row when r has one: the rows are
-    a vector's carriers in ``p_from_z`` and a multi-carrier projection, a
-    vertex's children in the reduce step, and in the solver's line search,
-    which takes one carrier at a time, a single row. Cell k on
-    carrier l needs g_kk q_k = gamma_k (N + sum_j g_kj q_j) over the other
+    a vector's carriers in ``p_from_z`` and a multi-carrier projection,
+    the corners of a vertex's children in the reduce step, and in the
+    solver's line search, which takes one carrier at a time, a single
+    row. Cell k on carrier l needs g_kk q_k = gamma_k (N + sum_j g_kj q_j) over the other
     cells j on l. Dividing each row by its serving gain (Scenario
     validation keeps gains positive) gives A q = gamma N / g with
     A = I - diag(gamma / g) G, which every row solves in one batched call.
     Entries with gamma = 0 take zero power: their rows are unit rows and
     their columns are dropped, since a silent cell interferes with nobody.
 
-    Returns the unclamped powers (B, K), the inverses A^-1 (B, K, K) and
-    two masks (B,). ``singular`` marks rows where some 1 / (A^-1)_kk, the
-    pivot that eliminating every other cell leaves on cell k whatever
-    units the powers are in, is below 1e-12 of the unit diagonal: their
-    powers mean nothing. ``negative`` marks rows past the pole, where no
-    q >= 0 solves A q = b = gamma N / g (before it q = b + B b + ... >= 0,
-    A = I - B, B >= 0): some power lies below zero by more than the bound
+    Returns each row's unclamped powers and inverse side by side,
+    x[b] = [q | A^-1] (B, K, K + 1), and two verdict lists of B bools.
+    ``singular`` marks rows where some 1 / (A^-1)_kk, the pivot that
+    eliminating every other cell leaves on cell k whatever units the
+    powers are in, is below 1e-12 of the unit diagonal: their powers mean
+    nothing. ``negative`` marks rows past the pole, where no q >= 0 solves
+    A q = b = gamma N / g (before it q = b + B b + ... >= 0, A = I - B,
+    B >= 0): some power lies below zero by more than the bound
     |A^-1| (|b - A q| + 4 (K + 2) eps (|A| |q| + b)) on its round-off. The
     test is free of units, and a tiny power that cancels to just below
     zero stays within the bound; callers clamp it to 0.
     """
-    x, singular, negative = _systems(r, gamma)
-    return x[:, :, 0], x[:, :, 1:], np.array(singular, dtype=bool), np.array(negative, dtype=bool)
-
-
-def _systems(r: ReducedProblem, gamma: np.ndarray) -> tuple[np.ndarray, list[bool], list[bool]]:
-    """``power_systems`` with each row's powers and inverse side by side,
-    x[b] = [q | A^-1] (B, K, K + 1), and the verdicts as lists, which the
-    line search reads without a further numpy call."""
     B, K = gamma.shape
     scale, neg_cross = r._system
     # out= keeps A C-contiguous whatever gamma's layout, so the strided
@@ -333,6 +344,26 @@ def _over_cap(r: ReducedProblem, q: np.ndarray) -> np.ndarray:
     carrier) exceed their carrier caps beyond relative slack ``_CAP_RTOL``,
     and ``_CAP_RTOL`` times the noise power for zero caps."""
     return q > r.cap_carrier.reshape(-1) * (1.0 + _CAP_RTOL) + _CAP_RTOL * r.scenario.noise_power
+
+
+def _cap_ceilings(r: ReducedProblem, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduce step's question on rows of corner SINRs gamma (B, K), r
+    with one carrier: ``power_systems`` solves each for the least powers q
+    its corner needs. Returns the singular rows, the unrealizable ones
+    (past the pole, or over a cap beyond ``_over_cap``'s slack) and each
+    row's ceilings 1 + g_ii cap_i (1 + ``_CAP_RTOL``) / (N + sum_j g_ij
+    max(q_j, 0)), which no realizable point above the corner exceeds."""
+    x, singular, negative = power_systems(r, gamma)
+    q = x[:, :, 0]
+    over = _over_cap(r, q).any(axis=1)
+    scale, neg_cross = r._system
+    # minus the product with the negated gains is plus the product with the gains, bit for bit
+    bound = np.maximum(q, 0.0) @ neg_cross[0].T
+    np.subtract(scale * r.scenario.noise_power, bound, out=bound)
+    np.divide(r.cap_carrier.reshape(-1), bound, out=bound)
+    bound *= 1.0 + _CAP_RTOL
+    bound += 1.0
+    return np.array(singular, dtype=bool), np.array(negative, dtype=bool) | over, bound
 
 
 def membership(r: ReducedProblem, z) -> bool:

@@ -18,6 +18,8 @@ from nomaopt.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
 from nomaopt.model import Scenario
 
+import hard_drops
+
 
 def _write_scenario(path, *, users=2, cells=2, seed=3, cap=None):
     cfg = RadioConfig(num_cells=cells, users_per_cell=users, seed=seed)
@@ -228,9 +230,10 @@ def test_solve_malformed_scenario(tmp_path):
 
 
 def test_solve_budget_exit_code_with_partial_result(tmp_path, capsys):
-    # this drop certifies at epsilon 1e-3 in one iteration, at 1e-6 in two
+    # a region B drop, still 0.90 nats short of certifying at epsilon 0.01
+    # after 200 iterations: one iteration cannot certify it at 1e-6
     scen = tmp_path / "scenario.json"
-    _write_scenario(scen)
+    scen.write_text(hard_drops.scenario("B K=4 [0, 0]").to_json() + "\n")
     out = tmp_path / "partial.json"
     code = main([
         "solve", "--scenario", str(scen), "--epsilon", "1e-6",

@@ -20,7 +20,6 @@ from nomaopt.polyblock import (
     MAX_ITERATIONS,
     MAX_VERTICES,
     _carrier_groups,
-    _carrier_problem,
     _CarrierSearch,
     _sum,
     generate_children,
@@ -29,7 +28,7 @@ from nomaopt.polyblock import (
     solve,
     write_trace_csv,
 )
-from nomaopt.reduction import power_systems, reduce_scenario
+from nomaopt.reduction import _cap_ceilings, power_systems, reduce_scenario
 
 from conftest import k1_scenario, make_scenario, random_scenario, sym2_scenario
 
@@ -63,6 +62,15 @@ def test_initial_vertex_dominates_every_member():
         from nomaopt.reduction import z_from_p
 
         assert np.all(z_from_p(r, q) <= corner + 1e-12)
+
+
+def test_initial_vertex_is_a_new_array_while_its_list_is_cached():
+    # the vertex store's first column is a view of the array, which pop
+    # writes through; the line search reads the cached list
+    r = reduce_scenario(sym2_scenario(q_cap=2.0))
+    a, b = initial_vertex(r), initial_vertex(r)
+    assert a.flags.writeable and not np.shares_memory(a, b)
+    assert r._corner == a.tolist() and r._corner is r._corner
 
 
 # -- children ----------------------------------------------------------------
@@ -227,21 +235,23 @@ def test_carrier_slice_matches_reduction_of_the_carrier():
         r = reduce_scenario(s)
         for l in range(s.num_subcarriers):
             sub = _carrier_scenario(s, l)
-            part, ref = _carrier_problem(r, l), reduce_scenario(sub)
+            part, ref = r.carrier(l), reduce_scenario(sub)
             for name in ("best_user", "gain_active", "gain_cross", "cap_carrier"):
                 a, b = getattr(part, name), getattr(ref, name)
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert a.tobytes() == b.tobytes(), name
                 assert a.flags.c_contiguous and not a.flags.writeable, name
-            for a, b in zip(part._system, ref._system):
-                assert a.tobytes() == b.tobytes()
+            # the carrier works out its own constants: those of the
+            # carrier's reduction and the whole problem's sliced to l
+            for a, b, whole in zip(part._system, ref._system, r._system):
+                assert a.tobytes() == b.tobytes() == whole[l : l + 1].tobytes()
             # the slice indexes the whole scenario: the same (cell, user) pairs on carrier l
             assert part.scenario is s
             assert [s.triplet(i) for i in part.active] == [
                 (k, l, u) for k, _, u in (sub.triplet(i) for i in ref.active)
             ]
     one = reduce_scenario(k1_scenario())
-    assert _carrier_problem(one, 0) is one
+    assert one.carrier(0) is one
 
 
 # -- reduce step ---------------------------------------------------------------
@@ -293,16 +303,16 @@ def test_reduce_leaves_low_and_singular_children_alone(monkeypatch):
     # singular; (5, 2) is worth log 10 <= t, left for the prune to drop at
     # its own value; the corner (3.75, 3) of (5, 4) lies past the pole
     assert np.allclose(a[0], [3.0, 3.0], rtol=1e-14)
-    singular, negative = power_systems(r, a - 1.0)[2:]
-    assert singular.tolist() == [True, False, False] and negative[2]
+    singular, negative = power_systems(r, a - 1.0)[1:]
+    assert singular == [True, False, False] and negative[2]
     assert np.array_equal(reduce_children(r, kids, t), kids[:2])
 
     # with every system singular nothing is dropped or lowered
     def all_singular(r, gamma):
-        q, inv, singular, negative = power_systems(r, gamma)
-        return q, inv, np.ones_like(singular), negative
+        singular, unrealizable, ceiling = _cap_ceilings(r, gamma)
+        return np.ones_like(singular), unrealizable, ceiling
 
-    monkeypatch.setattr(P, "power_systems", all_singular)
+    monkeypatch.setattr(P, "_cap_ceilings", all_singular)
     assert np.array_equal(reduce_children(r, kids, t), kids)
 
 
@@ -456,7 +466,7 @@ def test_emptied_group_bound_is_its_largest_pruned_value():
     s = generate_scenario(RadioConfig(num_cells=2, num_subcarriers=2, users_per_cell=2, fading=True), seed=[0, 0])
     r = reduce_scenario(s)
     for carriers in _carrier_groups(r):
-        g = _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, eps / 2)
+        g = _CarrierSearch(r.carrier(carriers[0]), carriers, eps / 2)
         for _ in range(100):
             if not g.f.size:
                 break
@@ -543,7 +553,7 @@ def test_group_bound_covers_the_carrier_optimum_after_every_refine(monkeypatch):
         r = reduce_scenario(s)
         for carriers in _carrier_groups(r):
             best = grid_optimum(_carrier_scenario(s, carriers[0]), grid_points_per_dim=1500 if K == 2 else 120).value
-            g = _CarrierSearch(_carrier_problem(r, carriers[0]), carriers, eps / L)
+            g = _CarrierSearch(r.carrier(carriers[0]), carriers, eps / L)
             for _ in range(200):
                 if not g.f.size:
                     break

@@ -80,10 +80,10 @@ def ref_evaluate(r, zc, caps, limit, lam):
     z = [max(lam * c, 1.0) for c in zc]
     gamma = [v - 1.0 for v in z]
     K, L = r.gain_active.shape
-    q, inv, singular, negative = power_systems(r, np.array(gamma).reshape(K, L).T)
-    if singular.any() or negative.any():
+    x, singular, negative = power_systems(r, np.array(gamma).reshape(K, L).T)
+    if any(singular) or any(negative):
         return F._Point(lam, z, None, math.nan, False)
-    q = q.T.reshape(-1)
+    q, inv = x[:, :, 0].T.reshape(-1), x[:, :, 1:]
     qs = q.tolist()
     if min(qs) < 0.0:
         q = np.maximum(q, 0.0)

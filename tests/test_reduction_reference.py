@@ -5,11 +5,11 @@ the active indices must agree bit for bit, ties included.
 
 ``power_systems`` keeps the negated scaled cross gains with the problem,
 sets the diagonal through a strided view, masks columns only when some
-SINR is 0 and reads its verdicts in Python, and ``reduce_children``
-subtracts the product with those negated gains, in place. The bodies they
-replaced, which negate the gains, index the diagonal and mask on every
-call, reduce the verdicts with numpy and add the product with the gains,
-are kept here too. Negating a float and multiplying by 1 are exact, so
+SINR is 0 and reads its verdicts in Python, and the reduce step's
+``_cap_ceilings`` subtracts the product with those negated gains, in
+place. The bodies they replaced, which negate the gains, index the
+diagonal and mask on every call, reduce the verdicts with numpy and add
+the product with the gains, are kept here too. Negating a float and multiplying by 1 are exact, so
 the powers, inverses and verdicts must agree bit for bit.
 
 ``z_from_p`` returns the ratios n / d of ``compute_nd``, the one 1 + SINR
@@ -202,7 +202,9 @@ def _batches(rng):
 def test_power_systems_match_the_negating_reference():
     seen = {"singular": 0, "negative": 0, "zero": 0, "solved": 0}
     for r, gamma in _batches(np.random.default_rng(18)):
-        got, ref = power_systems(r, gamma), ref_power_systems(r, gamma)
+        x, singular, negative = power_systems(r, gamma)
+        got = x[:, :, 0], x[:, :, 1:], np.array(singular, dtype=bool), np.array(negative, dtype=bool)
+        ref = ref_power_systems(r, gamma)
         for name, a, b in zip(("q", "inv", "singular", "negative"), got, ref):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         q, _, singular, negative = got

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nomaopt.experiments import RadioConfig, generate_scenario
 from nomaopt.model import Scenario
 from nomaopt.oracle import baseline_full_power, baseline_greedy, grid_optimum
 from nomaopt.polyblock import solve
 from nomaopt.reduction import UnsupportedWeightsError, reduce_scenario, z_from_p
+
+import hard_drops
 
 BUDGET = 200
 # grid points per axis by cells: at most 10^4 points per carrier
@@ -86,10 +87,7 @@ _UNBRACKETED = Scenario(
 )
 # a projection whose lower end sits just under the scale where a cell
 # switches on, where tangent and chord steps crawl; its 283rd projection
-_SWITCH_ON_KINK = generate_scenario(
-    RadioConfig(num_cells=4, users_per_cell=2, fading=True, cell_radius_m=10.0, subcarrier_cap_w=1e-5),
-    seed=[0, 1],
-)
+_SWITCH_ON_KINK = hard_drops.scenario("slow K=4 [0, 1]")
 
 
 def _tiny_gains():
