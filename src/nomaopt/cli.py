@@ -102,13 +102,9 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str):
-    with open(_out_path(path), "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_json(path: str, obj: dict):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with open(_out_path(path), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(args) -> RadioConfig:
@@ -139,7 +135,7 @@ def _load_scenario(path: str) -> Scenario:
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
     s = generate_scenario(cfg)
-    _write_text(args.out, s.to_json() + "\n")
+    _write_json(args.out, s.to_json_dict())
     print(f"wrote scenario: {args.out} (cells={s.num_cells}, users={s.total_users}, "
           f"subcarriers={s.num_subcarriers}, seed={cfg.seed})")
     return EXIT_OK

@@ -63,7 +63,8 @@ class MaximinLP:
     t_shifted = t - t_floor >= 0. Rows: one margin row per reduced
     coordinate and one unit box row per free coordinate. No cell power
     rows: Scenario validation keeps every cell's carrier caps within its
-    cell cap, so the box rows already imply the cell caps.
+    cell cap, so the box rows already imply the cell caps. ``dim`` is the
+    number of reduced coordinates, the length of the powers it solves for.
     """
 
     c: np.ndarray
@@ -72,8 +73,7 @@ class MaximinLP:
     free: tuple[int, ...]
     cap_free: np.ndarray
     t_floor: float
-    lam: float
-    z: np.ndarray
+    dim: int
 
 
 def build_maximin_lp(r: ReducedProblem, lam: float, z, d_prev) -> MaximinLP:
@@ -113,17 +113,14 @@ def build_maximin_lp(r: ReducedProblem, lam: float, z, d_prev) -> MaximinLP:
         free=tuple(int(j) for j in free),
         cap_free=caps[free],
         t_floor=t_floor,
-        lam=lam,
-        z=z.copy(),
+        dim=r.dim,
     )
 
 
-def solve_maximin_lp(lp: MaximinLP, dim: int | None = None) -> tuple[np.ndarray, float]:
+def solve_maximin_lp(lp: MaximinLP) -> tuple[np.ndarray, float]:
     """Maximize the worst normalized margin; returns (reduced powers in watts, margin)."""
     sol = solve_canonical_max(lp.c, lp.A, lp.b)
-    if dim is None:
-        dim = int(lp.z.shape[0])
-    q = np.zeros(dim)
+    q = np.zeros(lp.dim)
     for c, j in enumerate(lp.free):
         q[j] = min(max(sol.x[c], 0.0), 1.0) * lp.cap_free[c]
     t = sol.x[len(lp.free)] + lp.t_floor
@@ -163,8 +160,8 @@ _STALLED_PAIRS = 3
 
 
 class _Point(NamedTuple):
-    """One evaluated scale. ``z`` holds the point's entries as Python
-    floats. ``q`` is None past the pole (no non-negative powers) and
+    """One evaluated scale lam, the point max(lam * z, 1) of the ray z.
+    ``q`` is None past the pole (no non-negative powers) and
     ``h`` = max_i q_i / cap_i - 1 over positive caps. At a realizable
     point ``tangent`` is the smallest scale at which the tangent of some
     q_i reaches its cap, and ``step`` the smallest move worth trying: half
@@ -172,7 +169,6 @@ class _Point(NamedTuple):
     1e-12 W, and at least one float."""
 
     lam: float
-    z: list
     q: np.ndarray | None
     h: float
     ok: bool
@@ -190,14 +186,13 @@ def _evaluate(r: ReducedProblem, zc: list, caps: list, limit: list, lam: float) 
     With A q = gamma N / g, the derivative is dq/dlam = A^-1 diag(zc / gamma) q
     (zero where gamma = 0, the left derivative at a kink).
     """
-    z = [max(lam * c, 1.0) for c in zc]
-    gamma = [v - 1.0 for v in z]
+    gamma = [max(lam * c, 1.0) - 1.0 for c in zc]
     K, L = r.gain_active.shape
     # the solver projects one carrier at a time: one row, no (K, L) transposes
     one = L == 1
     x, singular, negative = power_systems(r, np.array([gamma]) if one else np.array(gamma).reshape(K, L).T)
     if any(singular) or any(negative):
-        return _Point(lam, z, None, math.nan, False)
+        return _Point(lam, None, math.nan, False)
     q = x[0, :, 0] if one else x[:, :, 0].T.reshape(-1)
     qs = q.tolist()
     if min(qs) < 0.0:
@@ -205,7 +200,7 @@ def _evaluate(r: ReducedProblem, zc: list, caps: list, limit: list, lam: float) 
         qs = q.tolist()
     h = max([a / b for a, b in zip(qs, limit)]) - 1.0
     if any([a > c for a, c in zip(qs, caps)]):
-        return _Point(lam, z, q, h, False)
+        return _Point(lam, q, h, False)
     rate = np.array([c * a / g if g > 0.0 else 0.0 for c, a, g in zip(zc, qs, gamma)])
     if one:
         dq = (x[0, :, 1:] @ rate).tolist()
@@ -213,7 +208,7 @@ def _evaluate(r: ReducedProblem, zc: list, caps: list, limit: list, lam: float) 
         dq = np.matmul(x[:, :, 1:], rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1).tolist()
     reach = min([(c - a) / d for c, a, d in zip(caps, qs, dq) if d > 0.0], default=math.inf)
     step = 0.5 * min(_LAM_RTOL * lam, _Q_ATOL / max(max(dq), 1e-300))
-    return _Point(lam, z, q, h, True, lam + reach, max(step, math.ulp(lam)))
+    return _Point(lam, q, h, True, lam + reach, max(step, math.ulp(lam)))
 
 
 def _trial(lo: _Point, up: _Point | None, hi: float, step: str) -> float | None:
@@ -332,7 +327,7 @@ def dinkelbach_project(r: ReducedProblem, z, start=None) -> ProjectionResult:
 
     exact = lo.h == 0.0 or lo.lam >= hi
     return ProjectionResult(
-        z_proj=np.array(lo.z),
+        z_proj=np.array([max(lo.lam * c, 1.0) for c in zc]),
         lam=lo.lam,
         lam_upper=lo.lam if exact else up.lam,
         powers=lo.q,

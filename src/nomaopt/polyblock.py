@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -155,28 +155,24 @@ class SolveResult:
         )
 
     def to_json_dict(self) -> dict:
-        active = np.flatnonzero(self.allocation.a)
-        z = np.zeros(self.allocation.size)
+        """The fields by name, but for four: ``allocation`` is written as its
+        ``a`` and ``p`` and the canonical indices ``active`` of the served
+        entries, ``z`` at canonical length (zero off those entries),
+        ``feasibility`` as its own document and ``trace`` rows as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        alloc = out.pop("allocation")
+        active = np.flatnonzero(alloc.a)
+        z = np.zeros(alloc.size)
         z[active] = self.z
-        return {
-            "algorithm": self.algorithm,
-            "a": self.allocation.a.tolist(),
-            "p": self.allocation.p.tolist(),
-            "z": z.tolist(),
-            "active": active.tolist(),
-            "sum_rate_nats": self.sum_rate_nats,
-            "sum_rate_bits": self.sum_rate_bits,
-            "epsilon": self.epsilon,
-            "iterations": self.iterations,
-            "projections": self.projections,
-            "wall_time_s": self.wall_time_s,
-            "upper_bound": self.upper_bound,
-            "certified": self.certified,
-            "status": self.status,
-            "sic_flag": self.sic_flag,
-            "feasibility": self.feasibility.to_json_dict(),
-            "trace": [list(row) for row in self.trace],
-        }
+        out.update(
+            a=alloc.a.tolist(),
+            p=alloc.p.tolist(),
+            active=active.tolist(),
+            z=z.tolist(),
+            feasibility=self.feasibility.to_json_dict(),
+            trace=[list(row) for row in self.trace],
+        )
+        return out
 
 
 def generate_children(parent: np.ndarray, upper: np.ndarray) -> np.ndarray:

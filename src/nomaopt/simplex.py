@@ -6,8 +6,9 @@ right-hand side is non-negative, making the all-slack basis feasible and a
 phase-1 search unnecessary). Bland's smallest-index rule is used for both
 the entering and the leaving choice, so the method cannot cycle, and each
 pivot eliminates the entering column with one rank-one update. Rows are
-equilibrated by their largest coefficient before pivoting; the tolerance
-applies to the equilibrated tableau.
+equilibrated by their largest coefficient before pivoting; the pivot
+tolerance ``_TOL`` applies to the equilibrated tableau, and more than
+``_MAX_PIVOTS`` pivots raise SimplexError.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["SimplexError", "SimplexSolution", "solve_canonical_max"]
+
+_TOL = 1e-9
+_MAX_PIVOTS = 100_000
 
 
 class SimplexError(RuntimeError):
@@ -30,13 +34,9 @@ class SimplexSolution:
     iterations: int
 
 
-def solve_canonical_max(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 100_000,
-) -> SimplexSolution:
+def solve_canonical_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexSolution:
+    """Maximize c.x subject to A x <= b, x >= 0, for b >= 0 up to ``_TOL``
+    relative to each row's largest coefficient."""
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -44,7 +44,7 @@ def solve_canonical_max(
         raise SimplexError(f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise SimplexError("LP data must be finite")
-    if np.any(b < -tol * np.maximum(1.0, np.max(np.abs(A), axis=1, initial=0.0))):
+    if np.any(b < -_TOL * np.maximum(1.0, np.max(np.abs(A), axis=1, initial=0.0))):
         raise SimplexError("right-hand side must be non-negative")
     m, n = A.shape
 
@@ -60,17 +60,17 @@ def solve_canonical_max(
     iterations = 0
     while True:
         reduced = T[m, : n + m]
-        candidates = np.flatnonzero(reduced > tol)
+        candidates = np.flatnonzero(reduced > _TOL)
         if candidates.size == 0:
             break
         enter = int(candidates[0])
         col = T[:m, enter]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > _TOL)
         if rows.size == 0:
             raise SimplexError("objective unbounded above over the feasible region")
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
-        tied = rows[ratios <= best + tol * max(1.0, abs(best))]
+        tied = rows[ratios <= best + _TOL * max(1.0, abs(best))]
         leave = int(min(tied, key=lambda i: basis[i]))
 
         T[leave] /= T[leave, enter]
@@ -79,8 +79,8 @@ def solve_canonical_max(
         T -= np.outer(f, T[leave])
         basis[leave] = enter
         iterations += 1
-        if iterations > max_iter:
-            raise SimplexError(f"pivot budget of {max_iter} exhausted")
+        if iterations > _MAX_PIVOTS:
+            raise SimplexError(f"pivot budget of {_MAX_PIVOTS} exhausted")
 
     x = np.zeros(n + m)
     for i, col in enumerate(basis):

@@ -75,7 +75,10 @@ def test_gen_rejects_unknown_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", ["num_cells=2.5", 'num_subcarriers="2"', 'seed="abc"', 'fading="no"', "sic_limit=1.5"]
+    "override",
+    # a bare word that is not JSON, like fading=no, is taken as a string
+    ["num_cells=2.5", 'num_subcarriers="2"', 'seed="abc"', 'fading="no"', "fading=no", "sic_limit=1.5",
+     "seed"],
 )
 def test_gen_rejects_mistyped_override(tmp_path, capsys, override):
     out = tmp_path / "s.json"
@@ -247,7 +250,7 @@ def test_solve_budget_exit_code_with_partial_result(tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
-def test_solve_usage_errors_exit_one(tmp_path):
+def test_solve_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--scenario", "x.json", "--epsilon", "-1", "--out", "r.json"])
     assert info.value.code == EXIT_USAGE
@@ -277,6 +280,18 @@ def test_solve_usage_errors_exit_one(tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--caps", bad, "--epsilons", "0.5", "--trials", "1", "--out", out])
         assert info.value.code == EXIT_USAGE
+    capsys.readouterr()
+    sweep = ["sweep", "--caps", "1e-7", "--epsilons", "0.5", "--trials", "1", "--out", out]
+    for argv, message in [
+        (["solve", "--scenario", "x.json", "--epsilon", "abc", "--out", "r.json"], "not a number"),
+        (sweep + ["--trials", "abc"], "not an integer"),
+        (sweep + ["--caps", "1e-7,x"], "not a comma-separated number list"),
+        (sweep + ["--caps", ","], "empty list"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

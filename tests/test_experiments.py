@@ -55,6 +55,8 @@ def test_radio_config_validation():
     with pytest.raises(ScenarioError):
         RadioConfig(subcarrier_cap_w=-1.0)
     with pytest.raises(ScenarioError):
+        RadioConfig(cell_cap_w=-1.0)
+    with pytest.raises(ScenarioError):
         RadioConfig(min_distance_m=0.0)
     with pytest.raises(ScenarioError):
         RadioConfig(sic_limit=0)

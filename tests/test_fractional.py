@@ -25,6 +25,7 @@ from nomaopt.reduction import (
     initial_vertex,
     membership,
     p_from_z,
+    power_systems,
     reduce_scenario,
     z_from_p,
 )
@@ -285,6 +286,28 @@ def test_projection_budget_error_carries_lambdas(monkeypatch):
     with pytest.raises(ProjectionError) as info:
         dinkelbach_project(r, [4.0, 4.0])
     assert len(info.value.lambdas) >= 1
+
+
+def test_evaluation_clamps_round_off_below_zero():
+    # three cells, one user each: at scale 1 the first entry of this ray
+    # sits 1.5e-12 above 1, and its power comes out at -8.2e-26 W, round-off
+    # that sets neither verdict of the power system
+    gains = [
+        [0.008453924292293358, 3.269519746423355e-05, 3.68311416688007e-08],
+        [8.020914581900822e-08, 1.2569697231736036e-06, 0.0001564175721087229],
+        [7.069846118227751e-08, 7.99959724396793e-06, 2.809930305187442e-07],
+    ]
+    s = make_scenario([[[g] for g in row] for row in gains], noise=2.607822048353922e-16,
+                      subcarrier_cap=1e-3)
+    r = reduce_scenario(s)
+    zc = [1.000000000001489, 1.0000000000014804, 10.242984759111387]
+    x, singular, negative = power_systems(r, np.array([[c - 1.0 for c in zc]]))
+    assert x[0, 0, 0] < 0.0 and singular == [False] and negative == [False]
+    caps = r.cap_carrier.reshape(-1).tolist()
+    pt = F._evaluate(r, zc, caps, caps, 1.0)  # no zero cap: h divides by the caps
+    assert pt.ok
+    assert pt.q[0] == 0.0
+    assert (pt.q >= 0.0).all()
 
 
 # beyond 0-99: seeds where the LP projection stopped short of the boundary

@@ -554,6 +554,20 @@ def test_check_feasible_reports_multiplex_violation():
     assert report.violations[0].magnitude == 1.0
 
 
+def test_violations_serialize_with_the_documented_keys():
+    s = make_scenario([[[1.0], [2.0]]], subcarrier_cap=1.0, sic_limit=1)
+    report = check_feasible(s, Allocation(a=[1, 1], p=[1.0, 1.0]))
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert [v["constraint"] for v in doc["violations"]] == [
+        "subcarrier_power", "multiplex_limit", "cell_power"
+    ]
+    for v in doc["violations"]:
+        assert set(v) == {"constraint", "cell", "subcarrier", "magnitude", "detail"}
+        assert v["cell"] == 0
+        assert v["subcarrier"] == (None if v["constraint"] == "cell_power" else 0)
+        assert v["magnitude"] == 1.0 and isinstance(v["detail"], str)
+
+
 def test_check_feasible_reports_sic_violation():
     gains = [
         [[1.0], [2.0], [1.0]],

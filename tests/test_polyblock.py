@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import nomaopt.polyblock as P
 from nomaopt.experiments import RadioConfig, generate_scenario, scenario_with_caps
 from nomaopt.model import ScenarioError
 from nomaopt.oracle import baseline_full_power, grid_optimum
@@ -292,8 +293,6 @@ def test_reduce_keeps_every_realizable_point_worth_more_than_the_threshold():
 
 
 def test_reduce_leaves_low_and_singular_children_alone(monkeypatch):
-    import nomaopt.polyblock as P
-
     r = reduce_scenario(sym2_scenario())  # box corner (5, 5), pole at SINRs (2, 2)
     t = math.log(15.0)
     kids = np.array([[5.0, 5.0], [5.0, 2.0], [5.0, 4.0]])
@@ -439,8 +438,6 @@ def test_solve_never_loses_to_full_power():
 def test_fading_drops_project_in_few_evaluations(monkeypatch):
     # a guard on the line search's step count, which, unlike its time,
     # does not depend on the machine
-    import nomaopt.polyblock as P
-
     counts = []
     project = P.dinkelbach_project
 
@@ -482,8 +479,6 @@ def test_emptied_group_bound_is_its_largest_pruned_value():
 
 def test_reduce_step_intervals_intersect_the_unreduced_solver(monkeypatch):
     # the reduce step patched to the identity is the polyblock without it
-    import nomaopt.polyblock as P
-
     drops = [
         generate_scenario(RadioConfig(num_cells=K, users_per_cell=2, fading=True), seed=[3, i])
         for K in (5, 6)
@@ -528,8 +523,6 @@ def test_group_bound_covers_the_carrier_optimum_after_every_refine(monkeypatch):
     # dropped children falls 0.08-0.3 nats below it once the store
     # empties; one that forgot those of lowered children is caught by the
     # record itself
-    import nomaopt.polyblock as P
-
     cuts = []
 
     def counted(r, children, t):
@@ -642,6 +635,17 @@ def test_solve_epsilon_validation():
         with pytest.raises(ScenarioError, match="epsilon must be a finite number"):
             solve(s, epsilon=value)
     assert solve(s, epsilon=1).epsilon == 1.0 and type(solve(s, np.float32(0.5)).epsilon) is float
+
+
+def test_solve_checks_its_objective_against_the_model(monkeypatch):
+    s = sym2_scenario()
+    model_rate = P.sum_rate
+    monkeypatch.setattr(P, "sum_rate", lambda *args: model_rate(*args) + 1e-3)
+    with pytest.raises(RuntimeError, match="disagree"):
+        solve(s, epsilon=0.01)
+    # the check allows 1e-6 nats
+    monkeypatch.setattr(P, "sum_rate", lambda *args: model_rate(*args) + 1e-7)
+    assert solve(s, epsilon=0.01).status == "optimal"
 
 
 def test_solve_result_json_dict():

@@ -77,12 +77,11 @@ def test_line_search_matches_dinkelbach_on_all_ones_rays():
 
 
 def ref_evaluate(r, zc, caps, limit, lam):
-    z = [max(lam * c, 1.0) for c in zc]
-    gamma = [v - 1.0 for v in z]
+    gamma = [max(lam * c, 1.0) - 1.0 for c in zc]
     K, L = r.gain_active.shape
     x, singular, negative = power_systems(r, np.array(gamma).reshape(K, L).T)
     if any(singular) or any(negative):
-        return F._Point(lam, z, None, math.nan, False)
+        return F._Point(lam, None, math.nan, False)
     q, inv = x[:, :, 0].T.reshape(-1), x[:, :, 1:]
     qs = q.tolist()
     if min(qs) < 0.0:
@@ -90,12 +89,12 @@ def ref_evaluate(r, zc, caps, limit, lam):
         qs = q.tolist()
     h = max([a / b for a, b in zip(qs, limit)]) - 1.0
     if any([a > c for a, c in zip(qs, caps)]):
-        return F._Point(lam, z, q, h, False)
+        return F._Point(lam, q, h, False)
     rate = np.array([c * a / g if g > 0.0 else 0.0 for c, a, g in zip(zc, qs, gamma)])
     dq = np.matmul(inv, rate.reshape(K, L).T[:, :, None])[:, :, 0].T.reshape(-1).tolist()
     reach = min([(c - a) / d for c, a, d in zip(caps, qs, dq) if d > 0.0], default=math.inf)
     step = 0.5 * min(F._LAM_RTOL * lam, F._Q_ATOL / max(max(dq), 1e-300))
-    return F._Point(lam, z, q, h, True, lam + reach, max(step, math.ulp(lam)))
+    return F._Point(lam, q, h, True, lam + reach, max(step, math.ulp(lam)))
 
 
 def _fields(res):

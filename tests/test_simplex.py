@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import nomaopt.simplex as S
 from nomaopt.simplex import SimplexError, solve_canonical_max
 
 
@@ -93,3 +94,11 @@ def test_badly_scaled_rows():
         b=[4e8, 6.0],
     )
     assert sol.value == pytest.approx(14.0 / 5.0, rel=1e-10)
+
+
+def test_pivot_budget(monkeypatch):
+    monkeypatch.setattr(S, "_MAX_PIVOTS", 0)
+    # the all-slack start is optimal: no pivot is needed
+    assert solve_canonical_max(c=[-1.0], A=[[1.0]], b=[1.0]).iterations == 0
+    with pytest.raises(SimplexError, match="pivot budget of 0 exhausted"):
+        solve_canonical_max(c=[2.0], A=[[1.0]], b=[3.0])
